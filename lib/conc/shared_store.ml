@@ -22,6 +22,7 @@ type snapshot = {
   btree : Btree.t;
   pst3 : Ext_pst3.t;
   base : Point.t IntMap.t; (* points inside btree/pst3, by id *)
+  base_size : int; (* [IntMap.cardinal base], which is O(n) to recount *)
   adds : Point.t IntMap.t; (* inserted since the checkpoint *)
   dels : Point.t IntMap.t; (* base points no longer visible *)
 }
@@ -51,7 +52,8 @@ type stats = {
   st_size : int;
 }
 
-let build ~b ~version ~checkpoint pts =
+(* [base] indexes [pts] by id. *)
+let build ~b ~version ~checkpoint ~base pts =
   let entries =
     List.sort Point.compare_xy pts
     |> List.map (fun (p : Point.t) -> (p.x, p.y))
@@ -61,17 +63,13 @@ let build ~b ~version ~checkpoint pts =
   (* the load-bearing contract: reader domains query these with no lock *)
   assert (Btree.snapshot_readable btree);
   assert (Ext_pst3.snapshot_readable pst3);
-  let base =
-    List.fold_left
-      (fun m (p : Point.t) -> IntMap.add p.id p m)
-      IntMap.empty pts
-  in
   {
     version;
     checkpoint;
     btree;
     pst3;
     base;
+    base_size = IntMap.cardinal base;
     adds = IntMap.empty;
     dels = IntMap.empty;
   }
@@ -85,7 +83,10 @@ let create ?(b = 8) ?(checkpoint_every = 512) ?wal ?breaker pts =
   if b < 4 then invalid_arg "Shared_store.create: b < 4";
   if checkpoint_every < 1 then
     invalid_arg "Shared_store.create: checkpoint_every < 1";
-  let snap0 () = build ~b ~version:0 ~checkpoint:0 pts in
+  let base =
+    List.fold_left (fun m (p : Point.t) -> IntMap.add p.id p m) IntMap.empty pts
+  in
+  let snap0 () = build ~b ~version:0 ~checkpoint:0 ~base pts in
   let s0 =
     match wal with
     | None -> snap0 ()
@@ -113,28 +114,20 @@ let snapshot t = Atomic.get t.current
 let version t = (snapshot t).version
 let checkpoints t = (snapshot t).checkpoint
 
-let visible_points s =
-  let live =
-    IntMap.fold
-      (fun id p acc -> if IntMap.mem id s.dels then acc else (id, p) :: acc)
-      s.base []
-  in
-  IntMap.fold (fun id p acc -> (id, p) :: acc) s.adds live |> List.map snd
+let visible_size s =
+  s.base_size - IntMap.cardinal s.dels + IntMap.cardinal s.adds
 
-let size t =
-  let s = snapshot t in
-  IntMap.cardinal s.base - IntMap.cardinal s.dels + IntMap.cardinal s.adds
+let size t = visible_size (snapshot t)
 
 let stats t =
   let s = snapshot t in
   {
     st_version = s.version;
     st_checkpoint = s.checkpoint;
-    st_base = IntMap.cardinal s.base;
+    st_base = s.base_size;
     st_adds = IntMap.cardinal s.adds;
     st_dels = IntMap.cardinal s.dels;
-    st_size = IntMap.cardinal s.base - IntMap.cardinal s.dels
-              + IntMap.cardinal s.adds;
+    st_size = visible_size s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -152,11 +145,27 @@ let find t id =
   | None ->
       if IntMap.mem id s.dels then None else IntMap.find_opt id s.base
 
+let compare_pair (x1, y1) (x2, y2) =
+  let c = Int.compare x1 x2 in
+  if c <> 0 then c else Int.compare y1 y2
+
+let merge_pairs a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], l | l, [] -> List.rev_append acc l
+    | p :: a', q :: b' ->
+        if compare_pair p q <= 0 then go (p :: acc) a' b else go (q :: acc) a b'
+  in
+  go [] a b
+
 (* [lo <= key <= hi] as sorted [(key, value)] pairs, matching the
    oracle's normalization. The B-tree stores (x, y) without ids and
    duplicates are legal, so each dead base point removes exactly {e one}
    occurrence of its (x, y) from the tree's answer (multiset
-   subtraction). *)
+   subtraction). The tree is only ever bulk-loaded from a
+   [Point.compare_xy]-sorted list, so its answer is already sorted by
+   (x, y): only the in-range inserts, at most [checkpoint_every] of them,
+   are sorted before one merge. *)
 let krange t ~lo ~hi =
   let s = snapshot t in
   let tree = Btree.range s.btree ~lo ~hi in
@@ -177,13 +186,13 @@ let krange t ~lo ~hi =
         | _ -> true)
       tree
   in
-  let merged =
+  let added =
     IntMap.fold
       (fun _ (p : Point.t) acc ->
         if lo <= p.x && p.x <= hi then (p.x, p.y) :: acc else acc)
-      s.adds kept
+      s.adds []
   in
-  List.sort compare merged
+  merge_pairs kept (List.sort compare_pair added)
 
 (* 3-sided [xl <= x <= xr, y >= yb]; ids are unique in the result. *)
 let query3 t ~xl ~xr ~yb =
@@ -212,10 +221,18 @@ let query3 t ~xl ~xr ~yb =
 
 let overlay_size s = IntMap.cardinal s.adds + IntMap.cardinal s.dels
 
+(* A checkpoint folds the overlay into the base map, O(|overlay| log n):
+   drop every dead base point, then add the inserts — disjoint from what
+   is left, by the visibility invariant. The structures are then rebuilt
+   from the map's n points. *)
+let rebuild t s ~version =
+  let base = IntMap.fold (fun id _ m -> IntMap.remove id m) s.dels s.base in
+  let base = IntMap.fold IntMap.add s.adds base in
+  build ~b:t.b ~version ~checkpoint:(s.checkpoint + 1) ~base
+    (IntMap.fold (fun _ p acc -> p :: acc) base [])
+
 let maybe_checkpoint t s =
-  if overlay_size s >= t.checkpoint_every then
-    build ~b:t.b ~version:s.version ~checkpoint:(s.checkpoint + 1)
-      (visible_points s)
+  if overlay_size s >= t.checkpoint_every then rebuild t s ~version:s.version
   else s
 
 (* The breaker guards the commit path: checkpoint rebuild + WAL txn.
@@ -296,10 +313,7 @@ let checkpoint_now t =
       else begin
         let s' =
           guard_commit t (fun () ->
-              let s' =
-                build ~b:t.b ~version:(s.version + 1)
-                  ~checkpoint:(s.checkpoint + 1) (visible_points s)
-              in
+              let s' = rebuild t s ~version:(s.version + 1) in
               (match t.wal with
               | None -> ()
               | Some w ->

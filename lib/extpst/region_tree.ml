@@ -20,47 +20,102 @@ type t = {
   capacity : int;
 }
 
+(* A region owns the segment [lo, lo + len) of one array. It takes its
+   top [capacity] points by [Point.compare_y_desc] in one pass with a
+   bounded heap whose root is the lowest-ranked point kept so far, ties
+   broken by position in the segment (what a stable sort would keep).
+   The rest slides left in its order and is split at index [(m - 1) / 2].
+   Only the root's segment is in input order: its rest is sorted once by
+   [Point.compare_xy], and every segment below stays sorted, so no region
+   re-sorts. Each level costs O(n log B): O(n log n · log B) overall.
+   Children are numbered right subtree first. *)
 let build ~capacity pts =
   if capacity < 1 then invalid_arg "Region_tree.build: capacity < 1";
+  let arr = Array.of_list pts in
+  let size = Array.length arr in
+  let heap = Array.make (min capacity size) 0 in
+  let taken = Bytes.make size '\000' in
+  let above i j =
+    let p : Point.t = arr.(i) and q : Point.t = arr.(j) in
+    if p.y <> q.y then p.y > q.y
+    else if p.id <> q.id then p.id < q.id
+    else i < j
+  in
+  let rec sift_down n k =
+    let l = (2 * k) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && above heap.(l) heap.(l + 1) then l + 1 else l in
+      let hk = heap.(k) in
+      if above hk heap.(c) then begin
+        heap.(k) <- heap.(c);
+        heap.(c) <- hk;
+        sift_down n c
+      end
+    end
+  in
+  (* the segment's top points, best first, with the rest compacted *)
+  let select lo len =
+    let k = min capacity len in
+    for j = 0 to k - 1 do
+      heap.(j) <- lo + j
+    done;
+    for j = (k / 2) - 1 downto 0 do
+      sift_down k j
+    done;
+    for i = lo + k to lo + len - 1 do
+      if above i heap.(0) then begin
+        heap.(0) <- i;
+        sift_down k 0
+      end
+    done;
+    let top = Array.sub heap 0 k in
+    Array.sort (fun i j -> if above i j then -1 else 1) top;
+    let pts_by_y = Array.map (fun i -> arr.(i)) top in
+    Array.iter (fun i -> Bytes.set taken i '\001') top;
+    let w = ref lo in
+    for i = lo to lo + len - 1 do
+      if Bytes.get taken i = '\000' then begin
+        arr.(!w) <- arr.(i);
+        incr w
+      end
+      else Bytes.set taken i '\000'
+    done;
+    pts_by_y
+  in
   let counter = ref 0 in
   let acc_nodes = ref [] in
-  let rec make pts depth xlo xhi =
-    match pts with
-    | [] -> None
-    | _ ->
-        let idx = !counter in
-        incr counter;
-        let by_y = List.sort Point.compare_y_desc pts in
-        let top = Blocked.take capacity by_y in
-        let rest = Blocked.drop capacity by_y in
-        let pts_by_y = Array.of_list top in
-        let pts_by_x = Array.of_list (List.sort Point.compare_x_desc top) in
-        let min_y =
-          if Array.length pts_by_y = 0 then max_int
-          else (pts_by_y.(Array.length pts_by_y - 1) : Point.t).y
-        in
-        let split, left, right =
-          match rest with
-          | [] -> ((xlo + xhi) / 2, None, None)
-          | _ ->
-              let sorted = List.sort Point.compare_xy rest in
-              let m = List.length sorted in
-              let k = (m - 1) / 2 in
-              let median = List.nth sorted k in
-              let split = median.Point.x in
-              let lefts = Blocked.take (k + 1) sorted in
-              let rights = Blocked.drop (k + 1) sorted in
-              ( split,
-                make lefts (depth + 1) xlo split,
-                make rights (depth + 1) split xhi )
-        in
-        let n =
-          { idx; depth; pts_by_y; pts_by_x; min_y; split; xlo; xhi; left; right }
-        in
-        acc_nodes := n :: !acc_nodes;
-        Some n
+  let rec make lo len depth xlo xhi =
+    if len = 0 then None
+    else begin
+      let idx = !counter in
+      incr counter;
+      let pts_by_y = select lo len in
+      let pts_by_x = Array.copy pts_by_y in
+      Array.stable_sort Point.compare_x_desc pts_by_x;
+      let min_y = (pts_by_y.(Array.length pts_by_y - 1) : Point.t).y in
+      let m = len - Array.length pts_by_y in
+      if depth = 0 && m > 0 then begin
+        let rest = Array.sub arr lo m in
+        Array.stable_sort Point.compare_xy rest;
+        Array.blit rest 0 arr lo m
+      end;
+      let split, left, right =
+        if m = 0 then ((xlo + xhi) / 2, None, None)
+        else
+          let k = (m - 1) / 2 in
+          let split = arr.(lo + k).Point.x in
+          let right = make (lo + k + 1) (m - k - 1) (depth + 1) split xhi in
+          let left = make lo (k + 1) (depth + 1) xlo split in
+          (split, left, right)
+      in
+      let n =
+        { idx; depth; pts_by_y; pts_by_x; min_y; split; xlo; xhi; left; right }
+      in
+      acc_nodes := n :: !acc_nodes;
+      Some n
+    end
   in
-  let root = make pts 0 min_int max_int in
+  let root = make 0 size 0 min_int max_int in
   let num = !counter in
   let nodes =
     Array.make (max num 1)
@@ -78,7 +133,7 @@ let build ~capacity pts =
       }
   in
   List.iter (fun n -> nodes.(n.idx) <- n) !acc_nodes;
-  { root; nodes; size = List.length pts; capacity }
+  { root; nodes; size; capacity }
 
 let root t = t.root
 let num_nodes t = if t.root = None then 0 else Array.length t.nodes

@@ -65,10 +65,27 @@ let store_of t name =
 
 type session = { mutable current : (string * Shared_store.t) option }
 
-let ints_reply l = String.concat "," (List.map string_of_int l)
+(* [prefix] then the items, comma-separated, in one buffer *)
+let list_reply prefix add l =
+  let buf = Buffer.create (String.length prefix + (16 * List.length l)) in
+  Buffer.add_string buf prefix;
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf v)
+    l;
+  Buffer.contents buf
 
-let pairs_reply l =
-  String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
+let ints_reply prefix l =
+  list_reply prefix (fun buf k -> Buffer.add_string buf (string_of_int k)) l
+
+let pairs_reply prefix l =
+  list_reply prefix
+    (fun buf (k, v) ->
+      Buffer.add_string buf (string_of_int k);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int v))
+    l
 
 (* [eval_words] returns the reply payload and whether the session goes
    on. Every parse failure is an [err ...] reply, never a dropped
@@ -106,8 +123,7 @@ let eval_words t session words =
       match (int_of lo, int_of hi) with
       | Some lo, Some hi ->
           with_store (fun s ->
-              ( "ok pairs " ^ pairs_reply (Shared_store.krange s ~lo ~hi),
-                true ))
+              (pairs_reply "ok pairs " (Shared_store.krange s ~lo ~hi), true))
       | _ -> ("err krange wants: krange LO HI", true))
   | [ "q3"; xl; xr; yb ] -> (
       match (int_of xl, int_of xr, int_of yb) with
@@ -115,9 +131,9 @@ let eval_words t session words =
           with_store (fun s ->
               let ids =
                 Shared_store.query3 s ~xl ~xr ~yb
-                |> List.map Point.id |> List.sort compare
+                |> List.map Point.id |> List.sort Int.compare
               in
-              ("ok ids " ^ ints_reply ids, true))
+              (ints_reply "ok ids " ids, true))
       | _ -> ("err q3 wants: q3 XL XR YB", true))
   | [ "stats" ] ->
       with_store (fun s ->

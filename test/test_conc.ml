@@ -248,6 +248,50 @@ let test_shared_store_differential () =
   check_bool "checkpoint preserves answers" true
     (Shared_store.krange store ~lo:0 ~hi:universe = before)
 
+(* krange merges the tree's sorted answer with the sorted in-range
+   inserts. A 6-wide universe makes (x, y) collide, ids are drawn from a
+   small pool so inserts re-insert (upsert) live ids, and a checkpoint is
+   forced every 37 operations on top of the automatic ones. *)
+let test_shared_store_krange_merge () =
+  let store = Shared_store.create ~b:4 ~checkpoint_every:24 [] in
+  let model : (int, Point.t) Hashtbl.t = Hashtbl.create 64 in
+  let rng = Rng.create 19 in
+  let universe = 6 in
+  for op = 1 to 800 do
+    let id = Rng.int rng 60 in
+    if Rng.int rng 3 = 0 then begin
+      check_bool "delete result" (Hashtbl.mem model id)
+        (Shared_store.delete store id);
+      Hashtbl.remove model id
+    end
+    else begin
+      let p =
+        Point.make ~x:(Rng.int rng universe) ~y:(Rng.int rng universe) ~id
+      in
+      Shared_store.insert store p;
+      Hashtbl.replace model id p
+    end;
+    if op mod 37 = 0 then Shared_store.checkpoint_now store;
+    let lo = Rng.int rng universe - 1 in
+    let hi = lo + Rng.int rng (universe + 1) in
+    let expect =
+      Hashtbl.fold
+        (fun _ (p : Point.t) acc ->
+          if lo <= p.x && p.x <= hi then (p.x, p.y) :: acc else acc)
+        model []
+      |> List.sort compare
+    in
+    check_bool "krange matches sorted oracle" true
+      (Shared_store.krange store ~lo ~hi = expect);
+    let st = Shared_store.stats store in
+    check_int "size" (Hashtbl.length model) st.Shared_store.st_size;
+    if op mod 37 = 0 then
+      check_int "a checkpoint folds the overlay into the base"
+        (Hashtbl.length model) st.st_base
+  done;
+  Shared_store.check_invariants store;
+  check_bool "checkpoints happened" true (Shared_store.checkpoints store > 20)
+
 (* ------------------------------------------------------------------ *)
 (* The linearizability checker on crafted histories                   *)
 (* ------------------------------------------------------------------ *)
@@ -451,6 +495,8 @@ let suite =
       test_threadsafe_byte_identity;
     Alcotest.test_case "shared store matches sequential oracle" `Quick
       test_shared_store_differential;
+    Alcotest.test_case "shared store krange merge vs sorted oracle" `Quick
+      test_shared_store_krange_merge;
     Alcotest.test_case "lin: overlapping stale read accepted" `Quick
       test_lin_accepts_overlap;
     Alcotest.test_case "lin: stale read / phantom delete rejected" `Quick

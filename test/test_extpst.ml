@@ -260,6 +260,81 @@ let test_region_tree_corner_path () =
     check_prefix path
   done
 
+(* The specification of [Region_tree.build]: each region stably sorts its
+   points by decreasing y, keeps the first [capacity], stably sorts those
+   by decreasing x, sorts the rest by (x, y, id) and splits it at the
+   median; the right subtree is numbered first. *)
+let reference_region_tree ~capacity pts =
+  let counter = ref 0 in
+  let rec make pts depth xlo xhi =
+    if pts = [] then None
+    else begin
+      let idx = !counter in
+      incr counter;
+      let by_y = List.sort Point.compare_y_desc pts in
+      let top = List.filteri (fun i _ -> i < capacity) by_y in
+      let pts_by_y = Array.of_list top in
+      let pts_by_x = Array.of_list (List.sort Point.compare_x_desc top) in
+      let min_y = pts_by_y.(Array.length pts_by_y - 1).Point.y in
+      let rest =
+        List.filteri (fun i _ -> i >= capacity) by_y
+        |> List.sort Point.compare_xy
+      in
+      let split, left, right =
+        if rest = [] then ((xlo + xhi) / 2, None, None)
+        else
+          let k = (List.length rest - 1) / 2 in
+          let split = (List.nth rest k).Point.x in
+          let part keep = List.filteri (fun i _ -> keep i) rest in
+          let right = make (part (fun i -> i > k)) (depth + 1) split xhi in
+          let left = make (part (fun i -> i <= k)) (depth + 1) xlo split in
+          (split, left, right)
+      in
+      Some
+        { Region_tree.idx; depth; pts_by_y; pts_by_x; min_y; split; xlo; xhi;
+          left; right }
+    end
+  in
+  let root = make pts 0 min_int max_int in
+  (root, !counter)
+
+(* Orders: shuffled, x-sorted with y rising (every point beats the worst
+   one kept so far) and x-sorted with y falling. A small universe makes
+   coordinates collide; every other case reuses ids, which pins the tie
+   order among points equal in y and id. *)
+let prop_region_tree_matches_reference =
+  QCheck.Test.make ~name:"region tree build matches the list-sorting reference"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 400)
+        (oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 64 ])
+        (oneofl [ `Shuffled; `Y_rising; `Y_falling ])
+        (pair (int_range 1 64) int))
+    (fun (n, capacity, order, (universe, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let coord () = Random.State.int st universe in
+      let xs = List.init n (fun _ -> coord ()) in
+      let ys = List.init n (fun _ -> coord ()) in
+      let xs, ys =
+        match order with
+        | `Shuffled -> (xs, ys)
+        | `Y_rising -> (List.sort compare xs, List.sort compare ys)
+        | `Y_falling -> (List.sort compare xs, List.sort (Fun.flip compare) ys)
+      in
+      let id i = if seed land 1 = 0 then i else i mod ((n / 3) + 1) in
+      let pts =
+        List.mapi (fun i (x, y) -> Point.make ~x ~y ~id:(id i)) (List.combine xs ys)
+      in
+      let rt = Region_tree.build ~capacity pts in
+      Region_tree.check_invariants rt;
+      let root, num = reference_region_tree ~capacity pts in
+      Region_tree.root rt = root
+      && Region_tree.num_nodes rt = num
+      && Region_tree.size rt = n
+      && List.for_all
+           (fun i -> (Region_tree.node_by_idx rt i).idx = i)
+           (List.init num Fun.id))
+
 let prop_extpst_random =
   QCheck.Test.make ~name:"random small instances match oracle (all variants)"
     ~count:40
@@ -291,5 +366,6 @@ let suite =
     ("capacity schedules", `Quick, test_capacity_schedules);
     ("region tree invariants", `Quick, test_region_tree_invariants);
     ("region tree corner path", `Quick, test_region_tree_corner_path);
+    QCheck_alcotest.to_alcotest prop_region_tree_matches_reference;
     QCheck_alcotest.to_alcotest prop_extpst_random;
   ]
