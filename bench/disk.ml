@@ -6,8 +6,8 @@
    simulator's count is the prediction and the file backend's clock is
    the measurement: this sweep varies the pager cache size and reports,
    per cell, the per-query I/O count (asserted equal across backends)
-   next to the per-query wall-clock on the simulator, the file backend,
-   and the file backend with mmap reads.
+   next to the per-query wall-clock on the simulator and the file
+   backend.
 
    Methodology notes, also in EXPERIMENTS.md:
    - B-tree cells start cold ([drop_cache]) and warm over the query
@@ -86,8 +86,6 @@ type row = {
   sim_p99 : float;
   file_mean : float;
   file_p99 : float;
-  mmap_mean : float;
-  mmap_p99 : float;
 }
 
 (* ---- B-tree: cold-start range queries -------------------------------- *)
@@ -121,14 +119,11 @@ let btree_rows () =
       let ft = Btree.recover_file ~cache_capacity:cache ~dir ~b () in
       let f_io, (file_mean, file_p99) = run ft in
       Btree.close ft;
-      let mt = Btree.recover_file ~cache_capacity:cache ~mmap:true ~dir ~b () in
-      let m_io, (mmap_mean, mmap_p99) = run mt in
-      Btree.close mt;
-      if f_io <> s_io || m_io <> s_io then
+      if f_io <> s_io then
         Printf.ksprintf failwith
           "btree cache=%d: file backend I/O diverges from simulator (sim \
-           %.2f, file %.2f, mmap %.2f per query)"
-          cache s_io f_io m_io;
+           %.2f, file %.2f per query)"
+          cache s_io f_io;
       {
         structure = "btree";
         cache;
@@ -137,8 +132,6 @@ let btree_rows () =
         sim_p99;
         file_mean;
         file_p99;
-        mmap_mean;
-        mmap_p99;
       })
     cache_sizes
 
@@ -179,11 +172,6 @@ let pst3_rows () =
       in
       let f_io, (file_mean, file_p99) = run ft in
       Ext_pst3.close ft;
-      let mt =
-        Ext_pst3.recover_file ~cache_capacity:cache ~mmap:true ~dir:fdir ~b ()
-      in
-      let _, (mmap_mean, mmap_p99) = run mt in
-      Ext_pst3.close mt;
       if f_io <> s_io then
         Printf.ksprintf failwith
           "pst3 cache=%d: file backend I/O diverges from simulator (sim \
@@ -197,8 +185,6 @@ let pst3_rows () =
         sim_p99;
         file_mean;
         file_p99;
-        mmap_mean;
-        mmap_p99;
       })
     cache_sizes
 
@@ -301,16 +287,13 @@ let run_e15 () =
   in
   Printf.printf
     "E15: wall-clock vs predicted I/O across cache sizes (%s)\n\
-     %-9s %6s %8s | %17s | %17s | %17s\n"
+     %-9s %6s %8s | %17s | %17s\n"
     (if fast then "fast" else "full")
-    "structure" "cache" "ios/q" "sim mean/p99 us" "file mean/p99 us"
-    "mmap mean/p99 us";
+    "structure" "cache" "ios/q" "sim mean/p99 us" "file mean/p99 us";
   List.iter
     (fun r ->
-      Printf.printf
-        "%-9s %6d %8.2f | %8.1f %8.1f | %8.1f %8.1f | %8.1f %8.1f\n"
-        r.structure r.cache r.ios_per_q r.sim_mean r.sim_p99 r.file_mean
-        r.file_p99 r.mmap_mean r.mmap_p99)
+      Printf.printf "%-9s %6d %8.2f | %8.1f %8.1f | %8.1f %8.1f\n" r.structure
+        r.cache r.ios_per_q r.sim_mean r.sim_p99 r.file_mean r.file_p99)
     rows;
   let oc = open_out out_file in
   Printf.fprintf oc
@@ -318,9 +301,9 @@ let run_e15 () =
   List.iteri
     (fun i r ->
       Printf.fprintf oc
-        "  {\"structure\":\"%s\",\"cache\":%d,\"ios_per_query\":%.3f,\"sim_mean_us\":%.1f,\"sim_p99_us\":%.1f,\"file_mean_us\":%.1f,\"file_p99_us\":%.1f,\"mmap_mean_us\":%.1f,\"mmap_p99_us\":%.1f}%s\n"
+        "  {\"structure\":\"%s\",\"cache\":%d,\"ios_per_query\":%.3f,\"sim_mean_us\":%.1f,\"sim_p99_us\":%.1f,\"file_mean_us\":%.1f,\"file_p99_us\":%.1f}%s\n"
         r.structure r.cache r.ios_per_q r.sim_mean r.sim_p99 r.file_mean
-        r.file_p99 r.mmap_mean r.mmap_p99
+        r.file_p99
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]}\n";

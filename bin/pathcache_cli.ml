@@ -570,9 +570,18 @@ let replay_cmd =
 
 let pp_mrc_table ppf curves = Reuse_dist.pp_table ppf curves
 
+(* One pass over the trace feeds the span profile and, when curves are
+   asked for, the reuse-distance profiler. *)
 let run_profile file flame mrc mrc_json =
-  match Obs.Profile.analyze_file file with
-  | a ->
+  let curves_wanted = mrc || mrc_json <> None in
+  let p = Obs.Profile.create () and rd = Reuse_dist.create () in
+  let observe e =
+    Obs.Profile.observe p e;
+    if curves_wanted then Reuse_dist.observe rd e
+  in
+  match Obs.iter_file file observe with
+  | () ->
+      let a = Obs.Profile.analysis p in
       Format.printf "%a@?" Obs.Profile.pp a.Obs.Profile.rows;
       if a.Obs.Profile.has_wall then begin
         (* Timed trace: add the wall-time decomposition — the per-phase
@@ -587,8 +596,7 @@ let run_profile file flame mrc mrc_json =
           close_out oc;
           Printf.printf "folded stacks written to %s\n" path)
         flame;
-      if mrc || mrc_json <> None then begin
-        let rd = Reuse_dist.of_file file in
+      if curves_wanted then begin
         match Reuse_dist.mrcs rd with
         | [] ->
             if mrc then

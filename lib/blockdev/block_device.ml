@@ -1,4 +1,4 @@
-type backend = Mem | File of { path : string; mmap : bool }
+type backend = Mem | File of { path : string }
 
 type error_class = Transient | Permanent | Stalled
 

@@ -11,7 +11,7 @@
     refactored simulator core — deterministic, used by tests and as the
     reference for the file backend's semantics) and
     {!Pc_blockdev.File_dev.create} (a Unix file accessed with
-    pread/pwrite, fsync on {!t.flush}, optional mmap read path).
+    pread/pwrite, fsync on {!t.flush}).
 
     The device is dumb on purpose: no cache, no counters, no fault
     plans. Caching, accounting and fault injection stay in the pager,
@@ -21,8 +21,7 @@
 (** Where the bytes live. *)
 type backend =
   | Mem  (** in-memory byte store *)
-  | File of { path : string; mmap : bool }
-      (** Unix file; [mmap] = reads served from a shared mapping *)
+  | File of { path : string }  (** Unix file *)
 
 (** How a device failure relates to retrying (DESIGN.md §15): a
     [Transient] error may succeed if the same transfer is reissued (bus

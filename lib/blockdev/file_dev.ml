@@ -22,7 +22,7 @@ let really_read fd b pos len =
     remaining := !remaining - n
   done
 
-let create ?(mmap = false) ?(sector_bytes = 512) ~path ~page_bytes () =
+let create ?(sector_bytes = 512) ~path ~page_bytes () =
   check_geometry ~who:"File_dev.create" ~page_bytes ~sector_bytes;
   let name = Printf.sprintf "file:%s" (Filename.basename path) in
   let os op page f =
@@ -47,28 +47,6 @@ let create ?(mmap = false) ?(sector_bytes = 512) ~path ~page_bytes () =
     if page < 0 then fail name op page "negative page id"
   in
   let file_len () = os "stat" (-1) (fun () -> (Unix.fstat fd).Unix.st_size) in
-  (* The read mapping, remade lazily whenever the file has grown past
-     it. [map_file] with a fresh length is cheap (the kernel shares the
-     page cache); a [Genarray] of char keeps this dependency-free. *)
-  let map :
-      (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-      option
-      ref =
-    ref None
-  in
-  let mapped_len = ref 0 in
-  let refresh_map needed =
-    if !mapped_len < needed then begin
-      let len = file_len () in
-      if len >= needed then begin
-        map :=
-          Some
-            (Bigarray.array1_of_genarray
-               (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |]));
-        mapped_len := len
-      end
-    end
-  in
   let write_n page b len =
     check "write_page" page;
     if Bytes.length b <> page_bytes then
@@ -81,7 +59,7 @@ let create ?(mmap = false) ?(sector_bytes = 512) ~path ~page_bytes () =
   in
   {
     name;
-    backend = File { path; mmap };
+    backend = File { path };
     page_bytes;
     sector_bytes;
     read_page =
@@ -91,23 +69,11 @@ let create ?(mmap = false) ?(sector_bytes = 512) ~path ~page_bytes () =
         if off + page_bytes > file_len () then
           fail name "read_page" page "past end of file";
         let b = Bytes.create page_bytes in
-        if mmap then begin
-          refresh_map (off + page_bytes);
-          match !map with
-          | Some m when !mapped_len >= off + page_bytes ->
-              for i = 0 to page_bytes - 1 do
-                Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get m (off + i))
-              done;
-              b
-          | _ -> fail name "read_page" page "mmap window unavailable"
-        end
-        else begin
-          os "read_page" page (fun () ->
-              ignore (Unix.lseek fd off Unix.SEEK_SET);
-              try really_read fd b 0 page_bytes
-              with End_of_file -> fail name "read_page" page "short read");
-          b
-        end);
+        os "read_page" page (fun () ->
+            ignore (Unix.lseek fd off Unix.SEEK_SET);
+            try really_read fd b 0 page_bytes
+            with End_of_file -> fail name "read_page" page "short read");
+        b);
     write_page = (fun page b -> write_n page b page_bytes);
     write_sectors =
       (fun page b k ->
@@ -135,7 +101,6 @@ let create ?(mmap = false) ?(sector_bytes = 512) ~path ~page_bytes () =
       (fun () ->
         if not !closed then begin
           closed := true;
-          map := None;
           os "close" (-1) (fun () -> Unix.close fd)
         end);
     size_pages = (fun () -> (file_len () + page_bytes - 1) / page_bytes);

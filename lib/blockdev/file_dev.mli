@@ -2,21 +2,16 @@
 
     Reads are [pread]-style (seek + full read of one page), writes
     [pwrite]-style; {!Block_device.t.flush} is an [fsync], so a flushed
-    write is durable in the crash model the WAL assumes. With
-    [~mmap:true] reads are served by copying out of a shared mapping of
-    the file (refreshed when the file grows) — the optional zero-syscall
-    read path; writes still go through [pwrite] so the write ordering
-    and tearing model stay identical.
+    write is durable in the crash model the WAL assumes.
 
     Torn writes: {!Block_device.t.write_sectors} transfers a whole
     number of [sector_bytes] units and leaves the rest of the page as it
     was — exactly the partial-transfer state a power failure leaves on a
     real disk. *)
 
-(** [create ?mmap ?sector_bytes ~path ~page_bytes ()] opens (or creates)
+(** [create ?sector_bytes ~path ~page_bytes ()] opens (or creates)
     [path]. Raises {!Block_device.Device_error} on OS failures. *)
 val create :
-  ?mmap:bool ->
   ?sector_bytes:int ->
   path:string ->
   page_bytes:int ->

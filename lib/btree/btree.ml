@@ -787,14 +787,14 @@ let close t =
    the page device — the chaos sweep lays a [Flaky_dev] over it — and
    deliberately does not see the journal file, whose faults are injected
    at the [Wal.store] layer instead. *)
-let open_store ?mmap ?wrap_dev ~dir ~b () =
+let open_store ?wrap_dev ~dir ~b () =
   let ds = Disk_store.open_dir ~dir in
-  let dev = Disk_store.device ?mmap ds ~idx:0 ~page_bytes:(page_bytes ~b) in
+  let dev = Disk_store.device ds ~idx:0 ~page_bytes:(page_bytes ~b) in
   let dev = match wrap_dev with None -> dev | Some f -> f dev in
   (ds, { Pager.dev; codec })
 
-let create_file ?cache_capacity ?obs ?mmap ?wrap_dev ~dir ~b () =
-  let ds, backend = open_store ?mmap ?wrap_dev ~dir ~b () in
+let create_file ?cache_capacity ?obs ?wrap_dev ~dir ~b () =
+  let ds, backend = open_store ?wrap_dev ~dir ~b () in
   let wal = Wal.create () in
   Wal.attach_store wal (Disk_store.wal_store ?obs ds);
   let pager =
@@ -803,8 +803,8 @@ let create_file ?cache_capacity ?obs ?mmap ?wrap_dev ~dir ~b () =
   in
   { (create pager) with store = Some ds }
 
-let bulk_load_file ?cache_capacity ?obs ?mmap ?wrap_dev ~dir ~b entries =
-  let ds, backend = open_store ?mmap ?wrap_dev ~dir ~b () in
+let bulk_load_file ?cache_capacity ?obs ?wrap_dev ~dir ~b entries =
+  let ds, backend = open_store ?wrap_dev ~dir ~b () in
   let wal = Wal.create () in
   Wal.attach_store wal (Disk_store.wal_store ?obs ds);
   let pager =
@@ -813,13 +813,13 @@ let bulk_load_file ?cache_capacity ?obs ?mmap ?wrap_dev ~dir ~b entries =
   in
   { (bulk_load pager entries) with store = Some ds }
 
-let recover_file ?cache_capacity ?obs ?mmap ?wrap_dev ~dir ~b () =
+let recover_file ?cache_capacity ?obs ?wrap_dev ~dir ~b () =
   let image =
     Disk_store.load_image ~dir
       ~parts:[ Disk_store.part codec ~idx:0 ~page_bytes:(page_bytes ~b) ]
   in
   let r = Wal.recover image in
-  let ds, backend = open_store ?mmap ?wrap_dev ~dir ~b () in
+  let ds, backend = open_store ?wrap_dev ~dir ~b () in
   Wal.attach_store r.Wal.r_wal (Disk_store.wal_store ?obs ds);
   let t =
     match r.Wal.r_meta with

@@ -116,16 +116,15 @@ val page_bytes : b:int -> int
 
 (** [create_file ~dir ~b ()] / [bulk_load_file ~dir ~b entries] are
     {!create_in} / {!bulk_load_in} with every page on disk under [dir]
-    and the journal durable. [mmap] serves reads from a shared mapping.
-    The tree is always durable (the file backend without a journal would
-    not survive a crash anyway). [wrap_dev] interposes on the page
-    device before the pager sees it — the chaos sweep lays a
-    {!Pc_blockdev.Flaky_dev} over it; the journal file is not wrapped
-    (its faults are injected at the [Wal.store] layer). *)
+    and the journal durable. The tree is always durable (the file
+    backend without a journal would not survive a crash anyway).
+    [wrap_dev] interposes on the page device before the pager sees it —
+    the chaos sweep lays a {!Pc_blockdev.Flaky_dev} over it; the journal
+    file is not wrapped (its faults are injected at the [Wal.store]
+    layer). *)
 val create_file :
   ?cache_capacity:int ->
   ?obs:Pc_obs.Obs.t ->
-  ?mmap:bool ->
   ?wrap_dev:(Pc_blockdev.Block_device.t -> Pc_blockdev.Block_device.t) ->
   dir:string ->
   b:int ->
@@ -135,7 +134,6 @@ val create_file :
 val bulk_load_file :
   ?cache_capacity:int ->
   ?obs:Pc_obs.Obs.t ->
-  ?mmap:bool ->
   ?wrap_dev:(Pc_blockdev.Block_device.t -> Pc_blockdev.Block_device.t) ->
   dir:string ->
   b:int ->
@@ -151,7 +149,6 @@ val bulk_load_file :
 val recover_file :
   ?cache_capacity:int ->
   ?obs:Pc_obs.Obs.t ->
-  ?mmap:bool ->
   ?wrap_dev:(Pc_blockdev.Block_device.t -> Pc_blockdev.Block_device.t) ->
   dir:string ->
   b:int ->

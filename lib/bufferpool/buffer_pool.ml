@@ -85,31 +85,20 @@ let mk_stats () =
 let[@inline] locked t f =
   match t.lock with None -> f () | Some m -> Mutex.protect m f
 
-let make ?(validate = false) ?(write_back = false) ?(threadsafe = false)
-    policy_state ~capacity =
+let create ?(policy = Replacement.Lru) ?(validate = false)
+    ?(write_back = false) ?(threadsafe = false) ~capacity () =
   if capacity < 0 then invalid_arg "Buffer_pool.create: negative capacity";
   {
     pool_capacity = capacity;
     validate;
     write_back;
-    policy_state;
+    policy_state = Replacement.make policy ~capacity;
     frames = Hashtbl.create (max 16 capacity);
     owners = Hashtbl.create 8;
     next_owner = 0;
     st = mk_stats ();
     lock = (if threadsafe then Some (Mutex.create ()) else None);
   }
-
-let create ?(policy = Replacement.Lru) ?validate ?write_back ?threadsafe
-    ~capacity () =
-  make ?validate ?write_back ?threadsafe
-    (Replacement.make policy ~capacity)
-    ~capacity
-
-let create_custom ?validate ?write_back ?threadsafe policy_mod ~capacity () =
-  make ?validate ?write_back ?threadsafe
-    (Replacement.make_custom policy_mod ~capacity)
-    ~capacity
 
 let capacity t = t.pool_capacity
 let threadsafe t = t.lock <> None

@@ -5,8 +5,8 @@
     buffer pool absorbs is free. Historically every pager owned a private
     fixed LRU, so "memory" was never actually shared or contended. This
     module owns a global frame budget that any number of pagers (or other
-    clients) draw from, with the replacement policy pluggable behind
-    {!Replacement.S}.
+    clients) draw from, with one of the {!Replacement} policies behind
+    it.
 
     The pool deliberately does {e not} store page payloads — OCaml's
     typing would force every client to share one payload type. Instead
@@ -34,7 +34,7 @@
     {b Domain safety.} By default a pool is single-domain: no lock is
     ever taken, and behavior — including every deterministic I/O count —
     is byte-identical to the historical pool. Passing [~threadsafe:true]
-    to {!create}/{!create_custom} arms a pool-wide mutex: every
+    to {!create} arms a pool-wide mutex: every
     operation that reads or mutates the frame table, the replacement
     policy, the owners table or the aggregate {!stats} runs under it.
     Pin counts are per-frame atomic latches ({!pin} latches a frame
@@ -73,17 +73,6 @@ val create :
   ?validate:bool ->
   ?write_back:bool ->
   ?threadsafe:bool ->
-  capacity:int ->
-  unit ->
-  t
-
-(** [create_custom (module P) ~capacity ()] uses a caller-supplied
-    replacement policy. *)
-val create_custom :
-  ?validate:bool ->
-  ?write_back:bool ->
-  ?threadsafe:bool ->
-  (module Replacement.S) ->
   capacity:int ->
   unit ->
   t

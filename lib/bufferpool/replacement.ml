@@ -323,36 +323,14 @@ let of_string = function
 
 let pp ppf p = Format.pp_print_string ppf (name p)
 
-let module_of : policy -> (module S) = function
-  | Lru -> (module Lru_policy)
-  | Fifo -> (module Fifo_policy)
-  | Clock -> (module Clock_policy)
-  | Two_q -> (module Two_q_policy)
-
-type instance = Instance : (module S with type t = 'a) * 'a -> instance
-
-let instantiate (module P : S) ~capacity =
-  Instance ((module P), P.create ~capacity)
-
-let i_name (Instance ((module P), _)) = P.name
-let i_length (Instance ((module P), st)) = P.length st
-let i_mem (Instance ((module P), st)) k = P.mem st k
-let i_insert (Instance ((module P), st)) ~hint k = P.insert st ~hint k
-let i_touch (Instance ((module P), st)) k = P.touch st k
-let i_remove (Instance ((module P), st)) k = P.remove st k
-let i_victim (Instance ((module P), st)) ~evictable = P.victim st ~evictable
-let i_clear (Instance ((module P), st)) = P.clear st
-
-(* Built-in policy state is kept behind a concrete variant rather than an
-   [instance] so that a pool (and the pagers embedding one) stays free of
-   closures and remains Marshal-able by {!Pc_pagestore.Persist}. Custom
-   policies pay for their generality by making the pool non-persistable. *)
+(* Policy state is a concrete variant rather than a first-class module
+   so that a pool (and the pagers embedding one) stays free of closures
+   and remains Marshal-able by {!Pc_pagestore.Persist}. *)
 type state =
   | Lru_st of Lru_policy.t
   | Fifo_st of Fifo_policy.t
   | Clock_st of Clock_policy.t
   | Two_q_st of Two_q_policy.t
-  | Custom_st of instance
 
 let make policy ~capacity =
   match policy with
@@ -361,29 +339,11 @@ let make policy ~capacity =
   | Clock -> Clock_st (Clock_policy.create ~capacity)
   | Two_q -> Two_q_st (Two_q_policy.create ~capacity)
 
-let make_custom m ~capacity = Custom_st (instantiate m ~capacity)
-
 let s_name = function
   | Lru_st _ -> Lru_policy.name
   | Fifo_st _ -> Fifo_policy.name
   | Clock_st _ -> Clock_policy.name
   | Two_q_st _ -> Two_q_policy.name
-  | Custom_st i -> i_name i
-
-let s_length = function
-  | Lru_st s -> Lru_policy.length s
-  | Fifo_st s -> Fifo_policy.length s
-  | Clock_st s -> Clock_policy.length s
-  | Two_q_st s -> Two_q_policy.length s
-  | Custom_st i -> i_length i
-
-let s_mem st k =
-  match st with
-  | Lru_st s -> Lru_policy.mem s k
-  | Fifo_st s -> Fifo_policy.mem s k
-  | Clock_st s -> Clock_policy.mem s k
-  | Two_q_st s -> Two_q_policy.mem s k
-  | Custom_st i -> i_mem i k
 
 let s_insert st ~hint k =
   match st with
@@ -391,7 +351,6 @@ let s_insert st ~hint k =
   | Fifo_st s -> Fifo_policy.insert s ~hint k
   | Clock_st s -> Clock_policy.insert s ~hint k
   | Two_q_st s -> Two_q_policy.insert s ~hint k
-  | Custom_st i -> i_insert i ~hint k
 
 let s_touch st k =
   match st with
@@ -399,7 +358,6 @@ let s_touch st k =
   | Fifo_st s -> Fifo_policy.touch s k
   | Clock_st s -> Clock_policy.touch s k
   | Two_q_st s -> Two_q_policy.touch s k
-  | Custom_st i -> i_touch i k
 
 let s_remove st k =
   match st with
@@ -407,7 +365,6 @@ let s_remove st k =
   | Fifo_st s -> Fifo_policy.remove s k
   | Clock_st s -> Clock_policy.remove s k
   | Two_q_st s -> Two_q_policy.remove s k
-  | Custom_st i -> i_remove i k
 
 let s_victim st ~evictable =
   match st with
@@ -415,11 +372,3 @@ let s_victim st ~evictable =
   | Fifo_st s -> Fifo_policy.victim s ~evictable
   | Clock_st s -> Clock_policy.victim s ~evictable
   | Two_q_st s -> Two_q_policy.victim s ~evictable
-  | Custom_st i -> i_victim i ~evictable
-
-let s_clear = function
-  | Lru_st s -> Lru_policy.clear s
-  | Fifo_st s -> Fifo_policy.clear s
-  | Clock_st s -> Clock_policy.clear s
-  | Two_q_st s -> Two_q_policy.clear s
-  | Custom_st i -> i_clear i

@@ -14,8 +14,8 @@
     prefer to evict early (see {!Buffer_pool.advise_sequential}). *)
 type hint = [ `Hot | `Cold ]
 
-(** First-class policy interface. The pool instantiates one [t] per pool
-    and routes every residency change through it. Invariants the pool
+(** The policy interface. The pool keeps one [t] and routes every
+    residency change through it. Invariants the pool
     maintains: [insert] is only called for absent keys, [touch] and
     [remove] only for present keys; [victim] must remove the key it
     returns. *)
@@ -50,12 +50,22 @@ module type S = sig
   val clear : t -> unit
 end
 
-(** The built-in policy implementations (see {!module_of} for their
-    semantics). *)
+(** Classic least-recently-used; exactly reproduces the eviction order
+    of the pagers' original built-in LRU cache, preserving the
+    repository's deterministic I/O counts. *)
 module Lru_policy : S
 
+(** First-in first-out; hits do not promote. *)
 module Fifo_policy : S
+
+(** One-bit second-chance approximation of LRU. *)
 module Clock_policy : S
+
+(** Scan-resistant simplified 2Q (Johnson & Shasha, VLDB'94): a short
+    probationary FIFO [A1in], a ghost queue [A1out] of recently evicted
+    keys, and a protected LRU [Am]; only keys re-referenced after
+    probation reach [Am], so a sequential flood cannot displace the hot
+    set. *)
 module Two_q_policy : S
 
 (** The built-in policies. *)
@@ -66,50 +76,18 @@ val name : policy -> string
 val of_string : string -> policy option
 val pp : Format.formatter -> policy -> unit
 
-(** [module_of p] is the implementation behind [p]:
-    - [Lru]: classic least-recently-used; exactly reproduces the eviction
-      order of the pagers' original built-in LRU cache, preserving the
-      repository's deterministic I/O counts.
-    - [Fifo]: first-in first-out; hits do not promote.
-    - [Clock]: one-bit second-chance approximation of LRU.
-    - [Two_q]: scan-resistant simplified 2Q (Johnson & Shasha, VLDB'94):
-      a short probationary FIFO [A1in], a ghost queue [A1out] of recently
-      evicted keys, and a protected LRU [Am]; only keys re-referenced
-      after probation reach [Am], so a sequential flood cannot displace
-      the hot set. *)
-val module_of : policy -> (module S)
-
-(** A policy instance paired with its state. *)
-type instance = Instance : (module S with type t = 'a) * 'a -> instance
-
-val instantiate : (module S) -> capacity:int -> instance
-val i_name : instance -> string
-val i_length : instance -> int
-val i_mem : instance -> int -> bool
-val i_insert : instance -> hint:hint -> int -> unit
-val i_touch : instance -> int -> unit
-val i_remove : instance -> int -> unit
-val i_victim : instance -> evictable:(int -> bool) -> int option
-val i_clear : instance -> unit
-
-(** Policy state as stored by the pool. Built-in policies live behind
-    concrete constructors whose state is pure data, so a pool embedded in
-    a pager survives {!Pc_pagestore.Persist}'s [Marshal]; a [Custom_st]
-    carries its first-class module and makes the pool non-persistable. *)
+(** Policy state as stored by the pool. Each constructor holds pure
+    data, so a pool embedded in a pager survives
+    {!Pc_pagestore.Persist}'s [Marshal]. *)
 type state =
   | Lru_st of Lru_policy.t
   | Fifo_st of Fifo_policy.t
   | Clock_st of Clock_policy.t
   | Two_q_st of Two_q_policy.t
-  | Custom_st of instance
 
 val make : policy -> capacity:int -> state
-val make_custom : (module S) -> capacity:int -> state
 val s_name : state -> string
-val s_length : state -> int
-val s_mem : state -> int -> bool
 val s_insert : state -> hint:hint -> int -> unit
 val s_touch : state -> int -> unit
 val s_remove : state -> int -> unit
 val s_victim : state -> evictable:(int -> bool) -> int option
-val s_clear : state -> unit

@@ -95,8 +95,7 @@ let to_json b =
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
-(* field extraction over a single line; shares the style of
-   [Obs.field_string] but local so the module stays self-contained *)
+(* field extraction over a single line of the baseline file *)
 
 let find_pat line pat =
   let plen = String.length pat and llen = String.length line in

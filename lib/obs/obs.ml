@@ -169,6 +169,9 @@ let jsonl_line e =
   let args = if e.args = [] then "" else ",\"args\":" ^ args_json e.args in
   base ^ wall ^ label ^ args ^ "}"
 
+(* A [Phase] event's measured duration. *)
+let phase_ns e = Option.value ~default:0 (List.assoc_opt "ns" e.args)
+
 (* Chrome trace_event format (the JSON-array flavour): spans become
    duration events (ph B/E) on tid 0, I/O events become instants on a
    tid per source, so Perfetto renders one lane per pager. With a clock
@@ -185,9 +188,7 @@ let chrome_line e =
         "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":%d,\"pid\":0,\"tid\":0,\"args\":%s}"
         (escape e.label) ts (args_json e.args)
   | Phase ->
-      let ns =
-        match List.assoc_opt "ns" e.args with Some n -> n | None -> 0
-      in
+      let ns = phase_ns e in
       let dur = ns / 1000 in
       Printf.sprintf
         "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":0,\"tid\":%d,\"args\":{\"page\":%d,\"ns\":%d}}"
@@ -495,8 +496,101 @@ let to_file ?flush_every path =
   t
 
 (* ------------------------------------------------------------------ *)
-(* JSONL replay                                                       *)
+(* Reading a JSONL trace                                              *)
 (* ------------------------------------------------------------------ *)
+
+let tbl_add tbl key v =
+  let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+  Hashtbl.replace tbl key (cur + v)
+
+(* Decode one line written by {!jsonl_line} in a single left-to-right
+   pass over its field order: tick, kind, src, page, then the optional
+   wall_ns, label and args. Not a general JSON parser: strings (the kind,
+   the label, args keys) run to the next quote, unescaped, and any other
+   shape raises [Failure]. *)
+let decode line =
+  let n = String.length line in
+  let pos = ref 0 in
+  let fail what =
+    failwith (Printf.sprintf "expected %s at column %d" what (!pos + 1))
+  in
+  let looking_at lit =
+    let l = String.length lit in
+    let rec same i = i = l || (line.[!pos + i] = lit.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then (
+      pos := !pos + l;
+      true)
+    else false
+  in
+  let expect lit = if not (looking_at lit) then fail lit in
+  let int () =
+    let neg = looking_at "-" in
+    let start = !pos and v = ref 0 in
+    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
+      let d = Char.code line.[!pos] - Char.code '0' in
+      if !v > (max_int - d) / 10 then fail "an integer in range";
+      v := (!v * 10) + d;
+      incr pos
+    done;
+    if !pos = start then fail "an integer";
+    if neg then - !v else !v
+  in
+  let str () =
+    match String.index_from_opt line !pos '"' with
+    | None -> fail "a closing quote"
+    | Some stop ->
+        let s = String.sub line !pos (stop - !pos) in
+        pos := stop + 1;
+        s
+  in
+  expect {|{"tick":|};
+  let tick = int () in
+  expect {|,"kind":"|};
+  let kind =
+    let k = str () in
+    match kind_of_name k with
+    | Some kind -> kind
+    | None -> failwith (Printf.sprintf "unknown kind %S" k)
+  in
+  expect {|,"src":|};
+  let src = int () in
+  expect {|,"page":|};
+  let page = int () in
+  let wall_ns = if looking_at {|,"wall_ns":|} then Some (int ()) else None in
+  let label = if looking_at {|,"label":"|} then str () else "" in
+  let rec args acc =
+    if looking_at "}" then List.rev acc
+    else begin
+      if acc <> [] then expect ",";
+      expect {|"|};
+      let k = str () in
+      expect ":";
+      let v = int () in
+      args ((k, v) :: acc)
+    end
+  in
+  let args = if looking_at {|,"args":{|} then args [] else [] in
+  expect "}";
+  if !pos < n then fail "end of line";
+  { tick; kind; src; page; label; args; wall_ns }
+
+(* The one JSONL reader: every offline consumer of a trace is a fold fed
+   from here, exactly as it is fed live through {!custom}. *)
+let iter_file path f =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go lineno =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+        let line = String.trim line in
+        (if line <> "" then
+           try f (decode line)
+           with Failure msg ->
+             failwith (Printf.sprintf "%s: line %d: %s" path lineno msg));
+        go (lineno + 1)
+  in
+  go 1
 
 type totals = {
   t_reads : int;
@@ -512,136 +606,58 @@ type totals = {
   t_phase_ns : (string * int) list;
 }
 
-let zero_totals =
-  {
-    t_reads = 0;
-    t_writes = 0;
-    t_cache_hits = 0;
-    t_allocs = 0;
-    t_frees = 0;
-    t_evictions = 0;
-    t_write_backs = 0;
-    t_spans = 0;
-    t_events = 0;
-    t_wall_ns = 0;
-    t_phase_ns = [];
-  }
-
-(* Extract the string value of ["key":"..."] from a JSONL line written by
-   {!jsonl_line}. Deliberately not a general JSON parser, but strict
-   enough that corrupt or truncated lines are rejected. *)
-let field_string line key =
-  let pat = "\"" ^ key ^ "\":\"" in
-  match
-    let plen = String.length pat and llen = String.length line in
-    let rec find i =
-      if i + plen > llen then None
-      else if String.sub line i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-let parse_line lineno line =
-  let fail msg =
-    failwith (Printf.sprintf "Obs.replay: line %d: %s" lineno msg)
-  in
-  let n = String.length line in
-  if n = 0 then fail "empty line";
-  if line.[0] <> '{' || line.[n - 1] <> '}' then fail "not a JSON object";
-  match field_string line "kind" with
-  | None -> fail "missing \"kind\" field"
-  | Some k -> (
-      match kind_of_name k with
-      | None -> fail (Printf.sprintf "unknown kind %S" k)
-      | Some kind -> kind)
-
-(* Extract the integer value of ["key":123] — the numeric sibling of
-   {!field_string}. The match requires the opening quote, so a key that
-   is a suffix of another (["ns"] vs ["wall_ns"]) cannot collide. *)
-let field_int line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < llen
-        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub line start (!stop - start))
-
 (* Replay a JSONL trace back into I/O totals. A [Write_back] is a
    deferred write being charged, so it counts into [t_writes] too —
-   mirroring how {!Pc_pagestore.Io_stats} accounts write-backs. Lines
+   mirroring how {!Pc_pagestore.Io_stats} accounts write-backs. Events
    carrying [wall_ns] (v2 traces) additionally contribute a wall-clock
    extent and per-category phase sums; v1 tick-only traces yield zeros. *)
-let replay_channel ic =
+let replay_file path =
+  let acc =
+    ref
+      {
+        t_reads = 0;
+        t_writes = 0;
+        t_cache_hits = 0;
+        t_allocs = 0;
+        t_frees = 0;
+        t_evictions = 0;
+        t_write_backs = 0;
+        t_spans = 0;
+        t_events = 0;
+        t_wall_ns = 0;
+        t_phase_ns = [];
+      }
+  in
   let wall_min = ref max_int and wall_max = ref min_int in
   let phases : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let see_wall line =
-    match field_int line "wall_ns" with
-    | None -> ()
-    | Some w ->
-        if w < !wall_min then wall_min := w;
-        if w > !wall_max then wall_max := w
-  in
-  let rec go lineno acc =
-    match input_line ic with
-    | exception End_of_file -> acc
-    | line when String.trim line = "" -> go (lineno + 1) acc
-    | line -> (
-        let line = String.trim line in
-        let acc = { acc with t_events = acc.t_events + 1 } in
-        let kind = parse_line lineno line in
-        see_wall line;
-        match kind with
-        | Read -> go (lineno + 1) { acc with t_reads = acc.t_reads + 1 }
-        | Write -> go (lineno + 1) { acc with t_writes = acc.t_writes + 1 }
-        | Cache_hit ->
-            go (lineno + 1) { acc with t_cache_hits = acc.t_cache_hits + 1 }
-        | Alloc -> go (lineno + 1) { acc with t_allocs = acc.t_allocs + 1 }
-        | Free -> go (lineno + 1) { acc with t_frees = acc.t_frees + 1 }
-        | Evict -> go (lineno + 1) { acc with t_evictions = acc.t_evictions + 1 }
-        | Write_back ->
-            go (lineno + 1)
-              {
-                acc with
-                t_write_backs = acc.t_write_backs + 1;
-                t_writes = acc.t_writes + 1;
-              }
-        | Journal_write | Checkpoint ->
+  iter_file path (fun e ->
+      (match e.wall_ns with
+      | None -> ()
+      | Some w ->
+          if w < !wall_min then wall_min := w;
+          if w > !wall_max then wall_max := w);
+      let a = { !acc with t_events = !acc.t_events + 1 } in
+      acc :=
+        match e.kind with
+        | Read -> { a with t_reads = a.t_reads + 1 }
+        | Write | Journal_write | Checkpoint ->
             (* durability writes are device writes, mirroring Io_stats *)
-            go (lineno + 1) { acc with t_writes = acc.t_writes + 1 }
+            { a with t_writes = a.t_writes + 1 }
+        | Write_back ->
+            {
+              a with
+              t_write_backs = a.t_write_backs + 1;
+              t_writes = a.t_writes + 1;
+            }
+        | Cache_hit -> { a with t_cache_hits = a.t_cache_hits + 1 }
+        | Alloc -> { a with t_allocs = a.t_allocs + 1 }
+        | Free -> { a with t_frees = a.t_frees + 1 }
+        | Evict -> { a with t_evictions = a.t_evictions + 1 }
+        | Span_begin -> { a with t_spans = a.t_spans + 1 }
         | Phase ->
-            (match (field_string line "label", field_int line "ns") with
-            | Some label, Some ns ->
-                let cat = phase_category label in
-                let cur =
-                  Option.value ~default:0 (Hashtbl.find_opt phases cat)
-                in
-                Hashtbl.replace phases cat (cur + ns)
-            | _ -> ());
-            go (lineno + 1) acc
-        | Pin | Fault | Retry | Give_up | Corrupt -> go (lineno + 1) acc
-        | Span_begin -> go (lineno + 1) { acc with t_spans = acc.t_spans + 1 }
-        | Span_end -> go (lineno + 1) acc)
-  in
-  let acc = go 1 zero_totals in
+            tbl_add phases (phase_category e.label) (phase_ns e);
+            a
+        | Pin | Fault | Retry | Give_up | Corrupt | Span_end -> a);
   let t_wall_ns = if !wall_max >= !wall_min then !wall_max - !wall_min else 0 in
   let t_phase_ns =
     List.filter_map
@@ -651,80 +667,7 @@ let replay_channel ic =
         | _ -> None)
       phase_categories
   in
-  { acc with t_wall_ns; t_phase_ns }
-
-let replay_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> replay_channel ic)
-
-(* Parse the flat integer-valued args object written by {!args_json};
-   keys are fixed identifiers (no escapes to worry about). *)
-let field_args line =
-  let pat = "\"args\":{" in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> []
-  | Some start ->
-      let pos = ref start and out = ref [] and ok = ref true in
-      while !ok && !pos < llen && line.[!pos] <> '}' do
-        if line.[!pos] = ',' then incr pos;
-        if !pos >= llen || line.[!pos] <> '"' then ok := false
-        else
-          match String.index_from_opt line (!pos + 1) '"' with
-          | None -> ok := false
-          | Some stop ->
-              let key = String.sub line (!pos + 1) (stop - !pos - 1) in
-              if stop + 1 >= llen || line.[stop + 1] <> ':' then ok := false
-              else begin
-                let s = stop + 2 in
-                let e = ref s in
-                while
-                  !e < llen
-                  && match line.[!e] with '0' .. '9' | '-' -> true | _ -> false
-                do
-                  incr e
-                done;
-                match int_of_string_opt (String.sub line s (!e - s)) with
-                | Some v ->
-                    out := (key, v) :: !out;
-                    pos := !e
-                | None -> ok := false
-              end
-      done;
-      List.rev !out
-
-(* Reconstruct full events from a JSONL trace — the input side of the
-   analytics layers (Reuse_dist, Access_profile) that also listen live. *)
-let iter_channel ic f =
-  let rec go lineno =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line when String.trim line = "" -> go (lineno + 1)
-    | line ->
-        let line = String.trim line in
-        let kind = parse_line lineno line in
-        f
-          {
-            tick = Option.value ~default:0 (field_int line "tick");
-            kind;
-            src = Option.value ~default:(-1) (field_int line "src");
-            page = Option.value ~default:0 (field_int line "page");
-            label = Option.value ~default:"" (field_string line "label");
-            args = field_args line;
-            wall_ns = field_int line "wall_ns";
-          };
-        go (lineno + 1)
-  in
-  go 1
-
-let iter_file path f =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> iter_channel ic f)
+  { !acc with t_wall_ns; t_phase_ns }
 
 let pp_ns ppf ns =
   if ns >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (float_of_int ns /. 1e9)
@@ -754,7 +697,7 @@ let pp_totals ppf t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-span-label profile of a JSONL trace                            *)
+(* Per-span-label profile of a trace                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Profile = struct
@@ -796,7 +739,7 @@ module Profile = struct
   type open_span = {
     os_id : int;
     os_label : string;
-    os_path : string list; (* root-first, ending in os_label *)
+    os_key : string; (* root-first frame path, ";"-joined *)
     os_wall0 : int option;
     mutable os_ios : int;
     mutable os_child_ios : int;
@@ -811,149 +754,127 @@ module Profile = struct
     mutable sn_count : int;
   }
 
-  let tbl_add tbl key v =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-    Hashtbl.replace tbl key (cur + v)
+  type t = {
+    aggs : (string, agg) Hashtbl.t;
+    snodes : (string, snode) Hashtbl.t; (* folded stacks by os_key *)
+    mutable open_spans : open_span list; (* innermost first *)
+    mutable saw_wall : bool;
+  }
 
-  let analyze_channel ic =
-    let aggs : (string, agg) Hashtbl.t = Hashtbl.create 16 in
-    let agg_of label =
-      match Hashtbl.find_opt aggs label with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              a_count = 0;
-              a_total = 0;
-              a_wall = 0;
-              a_phases = Hashtbl.create 8;
-              a_histo = Histogram.create ();
-            }
-          in
-          Hashtbl.add aggs label a;
-          a
-    in
-    (* folded stacks keyed by the ";"-joined path *)
-    let snodes : (string, snode) Hashtbl.t = Hashtbl.create 16 in
-    let snode_of key =
-      match Hashtbl.find_opt snodes key with
-      | Some n -> n
-      | None ->
-          let n = { sn_value = 0; sn_ios = 0; sn_count = 0 } in
-          Hashtbl.add snodes key n;
-          n
-    in
-    let join path = String.concat ";" path in
-    let stack = ref [] in
-    let has_wall = ref false in
-    let fail lineno msg =
-      failwith (Printf.sprintf "Obs.profile: line %d: %s" lineno msg)
-    in
-    let rec go lineno =
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line when String.trim line = "" -> go (lineno + 1)
-      | line ->
-          let line = String.trim line in
-          (match parse_line lineno line with
-          | Span_begin ->
-              let id =
-                match field_int line "page" with
-                | Some id -> id
-                | None -> fail lineno "span_begin without span id"
-              in
-              let label =
-                Option.value ~default:"" (field_string line "label")
-              in
-              let path =
-                match !stack with
-                | [] -> [ label ]
-                | top :: _ -> top.os_path @ [ label ]
-              in
-              stack :=
-                {
-                  os_id = id;
-                  os_label = label;
-                  os_path = path;
-                  os_wall0 = field_int line "wall_ns";
-                  os_ios = 0;
-                  os_child_ios = 0;
-                  os_child_wall = 0;
-                  os_self_phase = 0;
-                  os_phases = Hashtbl.create 8;
-                }
-                :: !stack
-          | Span_end -> (
-              let id =
-                match field_int line "page" with
-                | Some id -> id
-                | None -> fail lineno "span_end without span id"
-              in
-              match !stack with
-              | [] -> fail lineno "span_end with no open span"
-              | top :: rest ->
-                  if top.os_id <> id then
-                    fail lineno
-                      (Printf.sprintf "span nesting mismatch: open %d, end %d"
-                         top.os_id id);
-                  stack := rest;
-                  let wall =
-                    match (top.os_wall0, field_int line "wall_ns") with
-                    | Some w0, Some w1 ->
-                        has_wall := true;
-                        max 0 (w1 - w0)
-                    | _ -> 0
-                  in
-                  let a = agg_of top.os_label in
-                  a.a_count <- a.a_count + 1;
-                  a.a_total <- a.a_total + top.os_ios;
-                  a.a_wall <- a.a_wall + wall;
-                  Hashtbl.iter (fun c ns -> tbl_add a.a_phases c ns) top.os_phases;
-                  Histogram.add a.a_histo top.os_ios;
-                  let self_wall =
-                    max 0 (wall - top.os_child_wall - top.os_self_phase)
-                  in
-                  let n = snode_of (join top.os_path) in
-                  n.sn_value <- n.sn_value + self_wall;
-                  n.sn_ios <- n.sn_ios + (top.os_ios - top.os_child_ios);
-                  n.sn_count <- n.sn_count + 1;
-                  (match rest with
-                  | [] -> ()
-                  | parent :: _ ->
-                      parent.os_child_wall <- parent.os_child_wall + wall;
-                      (* inclusive counting means the child's I/Os are
-                         already in the parent's os_ios *)
-                      parent.os_child_ios <- parent.os_child_ios + top.os_ios))
-          | Phase -> (
-              match (field_string line "label", field_int line "ns") with
-              | Some label, Some ns ->
-                  let cat = phase_category label in
-                  List.iter (fun os -> tbl_add os.os_phases cat ns) !stack;
-                  let path =
-                    match !stack with
-                    | [] -> [ label ]
-                    | top :: _ ->
-                        top.os_self_phase <- top.os_self_phase + ns;
-                        top.os_path @ [ label ]
-                  in
-                  let n = snode_of (join path) in
-                  n.sn_value <- n.sn_value + ns;
-                  n.sn_count <- n.sn_count + 1
-              | _ -> ())
-          | Read | Write | Write_back | Journal_write | Checkpoint ->
-              List.iter (fun os -> os.os_ios <- os.os_ios + 1) !stack
-          | Alloc | Free | Cache_hit | Evict | Pin | Fault | Retry | Give_up
-          | Corrupt ->
-              ());
-          go (lineno + 1)
-    in
-    go 1;
+  let create () =
+    {
+      aggs = Hashtbl.create 16;
+      snodes = Hashtbl.create 16;
+      open_spans = [];
+      saw_wall = false;
+    }
+
+  let agg_of t label =
+    match Hashtbl.find_opt t.aggs label with
+    | Some a -> a
+    | None ->
+        let a =
+          {
+            a_count = 0;
+            a_total = 0;
+            a_wall = 0;
+            a_phases = Hashtbl.create 8;
+            a_histo = Histogram.create ();
+          }
+        in
+        Hashtbl.add t.aggs label a;
+        a
+
+  let snode_of t key =
+    match Hashtbl.find_opt t.snodes key with
+    | Some n -> n
+    | None ->
+        let n = { sn_value = 0; sn_ios = 0; sn_count = 0 } in
+        Hashtbl.add t.snodes key n;
+        n
+
+  let child_key t label =
+    match t.open_spans with [] -> label | top :: _ -> top.os_key ^ ";" ^ label
+
+  (* [fold ~on_close t e] folds one event; [on_close span wall_ns] runs
+     after [span] closes, with the closing event's stamp. *)
+  let fold ~on_close t e =
+    match e.kind with
+    | Span_begin ->
+        t.open_spans <-
+          {
+            os_id = e.page;
+            os_label = e.label;
+            os_key = child_key t e.label;
+            os_wall0 = e.wall_ns;
+            os_ios = 0;
+            os_child_ios = 0;
+            os_child_wall = 0;
+            os_self_phase = 0;
+            os_phases = Hashtbl.create 8;
+          }
+          :: t.open_spans
+    | Span_end -> (
+        match t.open_spans with
+        | [] -> failwith "Obs.Profile: span_end with no open span"
+        | top :: _ when top.os_id <> e.page ->
+            failwith
+              (Printf.sprintf
+                 "Obs.Profile: span nesting mismatch: open %d, end %d" top.os_id
+                 e.page)
+        | top :: rest ->
+            t.open_spans <- rest;
+            let wall =
+              match (top.os_wall0, e.wall_ns) with
+              | Some w0, Some w1 ->
+                  t.saw_wall <- true;
+                  max 0 (w1 - w0)
+              | _ -> 0
+            in
+            let a = agg_of t top.os_label in
+            a.a_count <- a.a_count + 1;
+            a.a_total <- a.a_total + top.os_ios;
+            a.a_wall <- a.a_wall + wall;
+            Hashtbl.iter (fun c ns -> tbl_add a.a_phases c ns) top.os_phases;
+            Histogram.add a.a_histo top.os_ios;
+            let n = snode_of t top.os_key in
+            n.sn_value <-
+              n.sn_value + max 0 (wall - top.os_child_wall - top.os_self_phase);
+            n.sn_ios <- n.sn_ios + (top.os_ios - top.os_child_ios);
+            n.sn_count <- n.sn_count + 1;
+            (match rest with
+            | [] -> ()
+            | parent :: _ ->
+                parent.os_child_wall <- parent.os_child_wall + wall;
+                (* inclusive counting means the child's I/Os are already
+                   in the parent's os_ios *)
+                parent.os_child_ios <- parent.os_child_ios + top.os_ios);
+            on_close top e.wall_ns)
+    | Phase ->
+        let ns = phase_ns e in
+        let cat = phase_category e.label in
+        List.iter (fun os -> tbl_add os.os_phases cat ns) t.open_spans;
+        (match t.open_spans with
+        | [] -> ()
+        | top :: _ -> top.os_self_phase <- top.os_self_phase + ns);
+        let n = snode_of t (child_key t e.label) in
+        n.sn_value <- n.sn_value + ns;
+        n.sn_count <- n.sn_count + 1
+    | Read | Write | Write_back | Journal_write | Checkpoint ->
+        List.iter (fun os -> os.os_ios <- os.os_ios + 1) t.open_spans
+    | Alloc | Free | Cache_hit | Evict | Pin | Fault | Retry | Give_up | Corrupt
+      ->
+        ()
+
+  let observe t e = fold ~on_close:(fun _ _ -> ()) t e
+
+  let analysis t =
     let rows =
       Hashtbl.fold
         (fun label a acc ->
           let cat_sum = Hashtbl.fold (fun _ ns s -> s + ns) a.a_phases 0 in
           let phases =
-            if (not !has_wall) && cat_sum = 0 then []
+            if (not t.saw_wall) && cat_sum = 0 then []
             else
               List.map
                 (fun cat ->
@@ -976,7 +897,7 @@ module Profile = struct
             phases;
           }
           :: acc)
-        aggs []
+        t.aggs []
       |> List.sort (fun a b ->
              match compare b.total_ios a.total_ios with
              | 0 -> compare a.label b.label
@@ -992,16 +913,16 @@ module Profile = struct
             stack_count = n.sn_count;
           }
           :: acc)
-        snodes []
+        t.snodes []
       |> List.sort (fun a b -> compare a.stack_path b.stack_path)
     in
-    { rows; stacks; has_wall = !has_wall }
+    { rows; stacks; has_wall = t.saw_wall }
 
   let analyze_file path =
-    let ic = open_in path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> analyze_channel ic)
+    let t = create () in
+    iter_file path (observe t);
+    analysis t
 
-  let of_channel ic = (analyze_channel ic).rows
   let of_file path = (analyze_file path).rows
 
   (* Label column width: at least the historical 18 (keeps old goldens
@@ -1137,24 +1058,20 @@ end
 
 (* A sink-side watcher: tee {!Slow_log.sink} beside the trace sink and
    every span whose wall time meets the threshold is dumped as one JSON
-   line with its inclusive I/O count and phase breakdown. Purely an
-   observer — it never affects control flow or the trace itself. *)
+   line with its inclusive I/O count and phase breakdown. It is the
+   {!Profile} fold with a close hook, so it must be installed before the
+   first span opens. Purely an observer — it never affects control flow
+   or the trace itself. *)
 module Slow_log = struct
-  type frame = {
-    sl_label : string;
-    sl_wall0 : int option;
-    mutable sl_ios : int;
-    sl_phases : (string, int) Hashtbl.t;
-  }
-
   type t = {
     oc : out_channel;
     threshold_ns : int;
-    mutable frames : frame list;
+    spans : Profile.t;
     mutable logged : int;
   }
 
-  let create oc ~threshold_ns = { oc; threshold_ns; frames = []; logged = 0 }
+  let create oc ~threshold_ns =
+    { oc; threshold_ns; spans = Profile.create (); logged = 0 }
 
   let logged t = t.logged
 
@@ -1174,45 +1091,17 @@ module Slow_log = struct
     Stdlib.flush t.oc;
     t.logged <- t.logged + 1
 
-  let on_event t e =
-    match e.kind with
-    | Span_begin ->
-        t.frames <-
-          {
-            sl_label = e.label;
-            sl_wall0 = e.wall_ns;
-            sl_ios = 0;
-            sl_phases = Hashtbl.create 8;
-          }
-          :: t.frames
-    | Span_end -> (
-        match t.frames with
-        | [] -> ()
-        | top :: rest ->
-            t.frames <- rest;
-            (match (top.sl_wall0, e.wall_ns) with
-            | Some w0, Some w1 when w1 - w0 >= t.threshold_ns ->
-                write_line t
-                  (Printf.sprintf
-                     "{\"label\":\"%s\",\"wall_ns\":%d,\"ios\":%d,\"phases\":%s}"
-                     (escape top.sl_label) (w1 - w0) top.sl_ios
-                     (phases_json top.sl_phases))
-            | _ -> ()))
-    | Phase ->
-        let ns = Option.value ~default:0 (List.assoc_opt "ns" e.args) in
-        let cat = phase_category e.label in
-        List.iter
-          (fun f ->
-            let cur = Option.value ~default:0 (Hashtbl.find_opt f.sl_phases cat) in
-            Hashtbl.replace f.sl_phases cat (cur + ns))
-          t.frames
-    | Read | Write | Write_back | Journal_write | Checkpoint ->
-        List.iter (fun f -> f.sl_ios <- f.sl_ios + 1) t.frames
-    | Alloc | Free | Cache_hit | Evict | Pin | Fault | Retry | Give_up | Corrupt
-      ->
-        ()
+  let on_close t (span : Profile.open_span) wall_ns =
+    match (span.os_wall0, wall_ns) with
+    | Some w0, Some w1 when w1 - w0 >= t.threshold_ns ->
+        write_line t
+          (Printf.sprintf
+             "{\"label\":\"%s\",\"wall_ns\":%d,\"ios\":%d,\"phases\":%s}"
+             (escape span.os_label) (w1 - w0) span.os_ios
+             (phases_json span.os_phases))
+    | _ -> ()
 
-  let sink t = custom (on_event t)
+  let sink t = custom (Profile.fold ~on_close:(on_close t) t.spans)
 
   (* A span that stayed under the wall threshold can still violate its
      analytical bound; the CLI reports those here too. *)

@@ -74,7 +74,7 @@ type kind =
   | Journal_write
       (** a page journaled at commit by the durability layer
           ({!Pc_pagestore.Wal}); a device write, counted as such by
-          {!replay_channel} *)
+          {!replay_file} *)
   | Checkpoint
       (** a superblock write truncating the journal; a device write *)
   | Corrupt
@@ -263,13 +263,25 @@ val with_span :
 (** [span_depth t] is the current nesting depth (0 outside any span). *)
 val span_depth : t -> int
 
-(** {1 Replay}
+(** {1 Reading traces}
 
-    Reads a JSONL trace back into I/O totals, so a trace can be checked
-    against the counters it mirrors. Raises [Failure] with the offending
-    line number on input that is not a trace written by the {!jsonl}
-    sink. *)
+    Every consumer of a trace — {!replay_file}, {!Profile},
+    {!Reuse_dist}, {!Access_profile} — is a fold over events, fed live
+    through {!custom} or from a JSONL file through {!iter_file}, so a
+    replayed trace and a live attachment fold identically. *)
 
+(** [iter_file path f] applies [f] to each event of the JSONL trace at
+    [path], in trace order; blank lines are skipped. Each line is decoded
+    in one left-to-right pass over the field order the {!jsonl} sink
+    writes: [tick], [kind], [src], [page], then the optional [wall_ns],
+    [label] and [args]. The label and args keys are read up to the next
+    quote, unescaped. Raises [Failure] naming the file and line on any
+    other line, and re-raises a [Failure] from [f] with the line of the
+    event [f] failed on. *)
+val iter_file : string -> (event -> unit) -> unit
+
+(** I/O totals read back from a trace, so a trace can be checked against
+    the counters it mirrors. *)
 type totals = {
   t_reads : int;
   t_writes : int;  (** immediate writes plus write-backs, as {!Pc_pagestore.Io_stats.writes} *)
@@ -288,20 +300,9 @@ type totals = {
           zero categories omitted; [[]] for tick-only traces *)
 }
 
-val zero_totals : totals
-val replay_channel : in_channel -> totals
+(** [replay_file path] folds the trace at [path] into totals. Same
+    [Failure] contract as {!iter_file}. *)
 val replay_file : string -> totals
-
-(** [iter_channel ic f] reconstructs each event of a JSONL trace —
-    tick, kind, source, page, label, args, and [wall_ns] when stamped —
-    and applies [f], in trace order. This is the raw-event counterpart
-    of {!replay_channel}, feeding analytics layers ({!Reuse_dist},
-    {!Access_profile}) that also consume the live stream, so a replayed
-    trace and a live attachment fold identically. Same [Failure]
-    contract as {!replay_channel}. *)
-val iter_channel : in_channel -> (event -> unit) -> unit
-
-val iter_file : string -> (event -> unit) -> unit
 
 (** Prints the I/O totals record; traces carrying [wall_ns] get extra
     [wall:]/[phases:] lines (tick-only traces print exactly as before). *)
@@ -312,13 +313,11 @@ val pp_ns : Format.formatter -> int -> unit
 
 (** {1 Profiling}
 
-    Aggregates a JSONL trace into a per-span-label table — the "where do
-    the I/Os (and the nanoseconds) go" view. I/O attribution is
-    inclusive, matching the {!Pc_pagestore.Pager.with_counted} contract:
-    an event inside nested spans counts toward every open span. Raises
-    [Failure] with the offending line number on malformed input or
-    broken span nesting; spans left open by a truncated trace are
-    dropped. *)
+    Folds a trace into a per-span-label table — the "where do the I/Os
+    (and the nanoseconds) go" view. I/O attribution is inclusive,
+    matching the {!Pc_pagestore.Pager.with_counted} contract: an event
+    inside nested spans counts toward every open span. Spans left open
+    by a truncated trace are dropped. *)
 
 module Profile : sig
   type row = {
@@ -352,12 +351,24 @@ module Profile : sig
     has_wall : bool;  (** some span carried [wall_ns] stamps *)
   }
 
-  val analyze_channel : in_channel -> analysis
+  type t
+
+  val create : unit -> t
+
+  (** [observe t e] folds one event. Raises [Failure] on a [Span_end]
+      that does not close the innermost open span, so a fold fed live
+      must be installed before the first span opens. *)
+  val observe : t -> event -> unit
+
+  (** The analysis of the events folded so far. *)
+  val analysis : t -> analysis
+
+  (** [analyze_file path] is {!iter_file} plus {!observe}; raises
+      [Failure] naming the line on malformed input or broken span
+      nesting. *)
   val analyze_file : string -> analysis
 
   (** Rows sorted by decreasing [total_ios]. *)
-  val of_channel : in_channel -> row list
-
   val of_file : string -> row list
 
   (** The original I/O table — byte-identical output to earlier versions
@@ -384,8 +395,10 @@ end
     A sink-side watcher: tee {!Slow_log.sink} beside the trace sink and
     every span whose wall time meets the threshold is written to the
     channel as one JSON line ([{"label":..,"wall_ns":..,"ios":..,
-    "phases":{..}}]), flushed immediately. Purely an observer — it never
-    affects control flow or the trace itself. *)
+    "phases":{..}}]), flushed immediately. It is the {!Profile} fold with
+    a per-span close hook, so install it before the first span opens.
+    Purely an observer — it never affects control flow or the trace
+    itself. *)
 
 module Slow_log : sig
   type t

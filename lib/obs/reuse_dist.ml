@@ -291,8 +291,3 @@ let to_json ?sizes curves =
     curves;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
-
-let of_file path =
-  let t = create () in
-  Obs.iter_file path (observe t);
-  t

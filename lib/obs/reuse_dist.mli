@@ -148,10 +148,3 @@ val pp_table :
 (** JSON export: per-source access totals and the [(size, hit_ratio)]
     sweep. *)
 val to_json : ?sizes:int list -> (string * mrc) list -> string
-
-(** {1 Trace replay} *)
-
-(** [of_file path] replays a JSONL trace (written by the {!Obs.jsonl}
-    sink) through a fresh profiler. Raises [Failure] like
-    {!Obs.replay_file} on malformed input. *)
-val of_file : string -> t

@@ -29,9 +29,9 @@ let open_dir ~dir =
 let dir t = t.ds_dir
 let pages_path ~dir ~idx = Filename.concat dir (Printf.sprintf "pages-%d.dat" idx)
 
-let device ?(mmap = false) t ~idx ~page_bytes =
+let device t ~idx ~page_bytes =
   let dev =
-    Pc_blockdev.File_dev.create ~mmap
+    Pc_blockdev.File_dev.create
       ~path:(pages_path ~dir:t.ds_dir ~idx)
       ~page_bytes ()
   in

@@ -17,7 +17,7 @@ val open_dir : dir:string -> t
 
 val dir : t -> string
 
-val device : ?mmap:bool -> t -> idx:int -> page_bytes:int -> Pc_blockdev.Block_device.t
+val device : t -> idx:int -> page_bytes:int -> Pc_blockdev.Block_device.t
 (** The file-backed block device for pager [idx]. Closed by {!close}. *)
 
 val wal_store : ?obs:Pc_obs.Obs.t -> t -> Wal.store

@@ -881,13 +881,13 @@ let close t =
         (Pager.device t.pager);
       Disk_store.close ds
 
-let open_store ?mmap ~dir ~b () =
+let open_store ~dir ~b =
   let ds = Disk_store.open_dir ~dir in
-  let dev = Disk_store.device ?mmap ds ~idx:0 ~page_bytes:(page_bytes ~b) in
+  let dev = Disk_store.device ds ~idx:0 ~page_bytes:(page_bytes ~b) in
   (ds, { Pager.dev; codec })
 
-let create_file ?cache_capacity ?obs ?mmap ~dir ~mode ~b pts =
-  let ds, backend = open_store ?mmap ~dir ~b () in
+let create_file ?cache_capacity ?obs ~dir ~mode ~b pts =
+  let ds, backend = open_store ~dir ~b in
   let wal = Wal.create () in
   Wal.attach_store wal (Disk_store.wal_store ?obs ds);
   let t =
@@ -895,13 +895,13 @@ let create_file ?cache_capacity ?obs ?mmap ~dir ~mode ~b pts =
   in
   { t with store = Some ds }
 
-let recover_file ?cache_capacity ?obs ?mmap ?(mode = Cached) ~dir ~b () =
+let recover_file ?cache_capacity ?obs ?(mode = Cached) ~dir ~b () =
   let image =
     Disk_store.load_image ~dir
       ~parts:[ Disk_store.part codec ~idx:0 ~page_bytes:(page_bytes ~b) ]
   in
   let r = Wal.recover image in
-  let ds, backend = open_store ?mmap ~dir ~b () in
+  let ds, backend = open_store ~dir ~b in
   Wal.attach_store r.Wal.r_wal (Disk_store.wal_store ?obs ds);
   let t =
     match r.Wal.r_meta with

@@ -145,7 +145,6 @@ val page_bytes : b:int -> int
 val create_file :
   ?cache_capacity:int ->
   ?obs:Pc_obs.Obs.t ->
-  ?mmap:bool ->
   dir:string ->
   mode:mode ->
   b:int ->
@@ -157,7 +156,7 @@ val create_file :
     [Invalid_argument] if the directory holds a structure with a
     different [b]. *)
 val recover_file :
-  ?cache_capacity:int -> ?obs:Pc_obs.Obs.t -> ?mmap:bool -> ?mode:mode ->
+  ?cache_capacity:int -> ?obs:Pc_obs.Obs.t -> ?mode:mode ->
   dir:string -> b:int -> unit -> t
 
 (** [close t] syncs and closes the underlying files (file-backed

@@ -227,18 +227,55 @@ let test_replay_pooled () =
       check_int "evictions" st.Io_stats.evictions r.Obs.t_evictions;
       check_int "write backs" st.Io_stats.write_backs r.Obs.t_write_backs)
 
-let test_replay_rejects_garbage () =
+(* Each malformed line follows a well-formed one, so every reader must
+   reject it and name line 2. The last three rows start with "{", end
+   with "}" and carry a known kind: only a field-by-field decode catches
+   them. *)
+let malformed_lines =
+  [
+    ("not an object", "this is not a trace");
+    ("unknown kind", {|{"tick":1,"kind":"teleport","src":0,"page":1}|});
+    ("missing page", {|{"tick":50,"kind":"read","src":0}|});
+    ( "truncated args",
+      {|{"tick":1,"kind":"phase","src":0,"page":1,"label":"dev.read","args":{"ns":10}|}
+    );
+    ( "bytes after the closing brace",
+      {|{"tick":1,"kind":"read","src":0,"page":1} {"tick":2}|} );
+  ]
+
+let with_trace_lines lines f =
   let path = Filename.temp_file "pc_bad" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      output_string oc "this is not a trace\n";
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
       close_out oc;
-      match Obs.replay_file path with
-      | _ -> Alcotest.fail "expected Failure"
-      | exception Failure msg ->
-          check_bool "names the line" true (contains_sub msg "line 1"))
+      f path)
+
+let check_rejects ~what ~line read path =
+  match read path with
+  | () -> Alcotest.failf "%s: expected Failure" what
+  | exception Failure msg ->
+      check_bool
+        (Printf.sprintf "%s names line %d (%s)" what line msg)
+        true
+        (contains_sub msg (Printf.sprintf "line %d:" line))
+
+let test_replay_rejects_garbage () =
+  let good = {|{"tick":0,"kind":"alloc","src":0,"page":1}|} in
+  List.iter
+    (fun (row, bad) ->
+      with_trace_lines [ good; bad ] (fun path ->
+          List.iter
+            (fun (reader, read) ->
+              check_rejects ~what:(row ^ ", " ^ reader) ~line:2 read path)
+            [
+              ("replay_file", fun p -> ignore (Obs.replay_file p));
+              ("Profile.of_file", fun p -> ignore (Obs.Profile.of_file p));
+              ("iter_file", fun p -> Obs.iter_file p ignore);
+            ]))
+    malformed_lines
 
 let test_chrome_format () =
   let path = Filename.temp_file "pc_trace" ".json" in
@@ -421,18 +458,22 @@ let test_profile_golden () =
    ^ "build                     1          3      3.0      3      3\n")
     table
 
+(* Well-formed lines whose span_end closes no open span, or not the
+   innermost one. *)
 let test_profile_rejects_garbage () =
-  let path = Filename.temp_file "pc_profile" ".jsonl" in
-  let oc = open_out path in
-  output_string oc "{\"tick\":0,\"kind\":\"span_end\",\"src\":-1,\"page\":0}\n";
-  close_out oc;
-  let raised =
-    match Obs.Profile.of_file path with
-    | _ -> false
-    | exception Failure msg -> contains_sub msg "line 1"
-  in
-  Sys.remove path;
-  check_bool "mismatched span_end rejected with line number" true raised
+  let begin_0 = {|{"tick":0,"kind":"span_begin","src":-1,"page":0,"label":"a"}|}
+  and end_0 = {|{"tick":0,"kind":"span_end","src":-1,"page":0}|}
+  and end_7 = {|{"tick":1,"kind":"span_end","src":-1,"page":7,"label":"a"}|} in
+  List.iter
+    (fun (what, lines) ->
+      with_trace_lines lines (fun path ->
+          check_rejects ~what ~line:(List.length lines)
+            (fun p -> ignore (Obs.Profile.of_file p))
+            path))
+    [
+      ("no open span", [ end_0 ]);
+      ("not the innermost span", [ begin_0; end_7 ]);
+    ]
 
 (* ----- wall clock and phases (DESIGN.md §9) ----- *)
 
@@ -554,6 +595,10 @@ let test_phase_sums_equal_wall () =
     (fun () ->
       let obs = Obs.to_file path in
       Obs.set_clock obs (Obs.Clock.mock ());
+      let live = Obs.Profile.create () in
+      Obs.set_sink obs
+        (Obs.tee (Obs.current_sink obs)
+           (Obs.custom (Obs.Profile.observe live)));
       let t =
         Btree.bulk_load_file ~obs ~dir ~b:8 (List.init 500 (fun i -> (i, i)))
       in
@@ -563,6 +608,14 @@ let test_phase_sums_equal_wall () =
       Btree.close t;
       Obs.close obs;
       let a = Obs.Profile.analyze_file path in
+      (* the live fold and the one over the written file agree *)
+      let l = Obs.Profile.analysis live in
+      check_bool "live rows = file rows" true
+        (l.Obs.Profile.rows = a.Obs.Profile.rows);
+      check_bool "live stacks = file stacks" true
+        (l.Obs.Profile.stacks = a.Obs.Profile.stacks);
+      check_bool "live has_wall = file has_wall" true
+        (l.Obs.Profile.has_wall = a.Obs.Profile.has_wall);
       check_bool "has wall" true a.Obs.Profile.has_wall;
       check_bool "has rows" true (a.Obs.Profile.rows <> []);
       List.iter
