@@ -47,7 +47,6 @@ let workload_name = function
 (* The deterministic op sequence, shared by the measured cells and the
    MRC profiling pass so both see the identical reference stream. *)
 let run_ops tree workload =
-  let pager = Btree.pager tree in
   let rng = Rng.create 42 in
   let hot_lo = n_keys / 2 in
   (* ~16 leaf pages: small enough that mid-size pools could hold it *)
@@ -63,9 +62,8 @@ let run_ops tree workload =
         (* mostly hot-range lookups; every 100th op is a scan over ~4x
            the largest pool (1024 leaves), flooding any recency-based
            pool *)
-        if op mod 100 = 0 then (
-          Pager.advise_normal pager;
-          ignore (Btree.range tree ~lo:0 ~hi:(1024 * (b - 1))))
+        if op mod 100 = 0 then
+          ignore (Btree.range tree ~lo:0 ~hi:(1024 * (b - 1)))
         else lookup (Rng.int_in rng ~lo:hot_lo ~hi:hot_hi)
   done
 

@@ -528,8 +528,8 @@ let run_btree n b seed k span cache policy durability clock slow_log slow_ms
   | Ok (Some _) when cache > 0 ->
       `Error
         (false,
-         "--cache attaches a write-back buffer pool, which the file \
-          backend does not support; drop --cache or use --backend sim")
+         "--cache is not supported with the file backend; drop --cache or \
+          use --backend sim")
   | Ok dir ->
       `Ok
         (run_btree_on n b seed k span cache policy durability clock slow_log

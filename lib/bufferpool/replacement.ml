@@ -1,5 +1,3 @@
-type hint = [ `Hot | `Cold ]
-
 module type S = sig
   type t
 
@@ -7,10 +5,10 @@ module type S = sig
   val create : capacity:int -> t
   val length : t -> int
   val mem : t -> int -> bool
-  val insert : t -> hint:hint -> int -> unit
+  val insert : t -> int -> unit
   val touch : t -> int -> unit
   val remove : t -> int -> unit
-  val victim : t -> evictable:(int -> bool) -> int option
+  val victim : t -> int option
   val clear : t -> unit
 end
 
@@ -52,18 +50,10 @@ module Dlist = struct
     | None -> t.tail <- Some node);
     t.head <- Some node
 
-  let push_back t node =
-    node.prev <- t.tail;
-    node.next <- None;
-    (match t.tail with
-    | Some tl -> tl.next <- Some node
-    | None -> t.head <- Some node);
-    t.tail <- Some node
-
-  let insert t ~at_front k =
+  let insert t k =
     let node = { key = k; prev = None; next = None } in
     Hashtbl.replace t.tbl k node;
-    if at_front then push_front t node else push_back t node
+    push_front t node
 
   let move_front t k =
     match Hashtbl.find_opt t.tbl k with
@@ -79,19 +69,14 @@ module Dlist = struct
         unlink t node;
         Hashtbl.remove t.tbl k
 
-  (* First evictable key from the tail; removed on return. *)
-  let pop_back_filtered t ~ok =
-    let rec go = function
-      | None -> None
-      | Some node ->
-          if ok node.key then begin
-            unlink t node;
-            Hashtbl.remove t.tbl node.key;
-            Some node.key
-          end
-          else go node.prev
-    in
-    go t.tail
+  (* The tail key, removed on return. *)
+  let pop_back t =
+    match t.tail with
+    | None -> None
+    | Some node ->
+        unlink t node;
+        Hashtbl.remove t.tbl node.key;
+        Some node.key
 
   let clear t =
     Hashtbl.reset t.tbl;
@@ -106,10 +91,10 @@ module Lru_policy = struct
   let create ~capacity:_ = Dlist.create ()
   let length = Dlist.length
   let mem = Dlist.mem
-  let insert t ~hint k = Dlist.insert t ~at_front:(hint = `Hot) k
-  let touch t k = Dlist.move_front t k
+  let insert = Dlist.insert
+  let touch = Dlist.move_front
   let remove = Dlist.remove
-  let victim t ~evictable = Dlist.pop_back_filtered t ~ok:evictable
+  let victim = Dlist.pop_back
   let clear = Dlist.clear
 end
 
@@ -120,10 +105,10 @@ module Fifo_policy = struct
   let create ~capacity:_ = Dlist.create ()
   let length = Dlist.length
   let mem = Dlist.mem
-  let insert t ~hint k = Dlist.insert t ~at_front:(hint = `Hot) k
+  let insert = Dlist.insert
   let touch _ _ = ()
   let remove = Dlist.remove
-  let victim t ~evictable = Dlist.pop_back_filtered t ~ok:evictable
+  let victim = Dlist.pop_back
   let clear = Dlist.clear
 end
 
@@ -163,10 +148,9 @@ module Clock_policy = struct
     t.refs <- refs;
     t.free <- List.init old (fun i -> old + i) @ t.free
 
-  (* The hint is ignored: a one-bit clock earns its second chance only
-     from a genuine re-reference, so new frames start with the bit
-     clear. *)
-  let insert t ~hint:_ k =
+  (* A one-bit clock earns its second chance only from a genuine
+     re-reference, so new frames start with the bit clear. *)
+  let insert t k =
     (match t.free with [] -> grow t | _ -> ());
     match t.free with
     | [] -> assert false
@@ -196,26 +180,23 @@ module Clock_policy = struct
     | Some slot -> ignore (evict_slot t slot)
     | None -> ()
 
-  (* Sweep the hand: referenced frames get a second chance, pinned frames
-     are skipped without losing their bit. Two full sweeps guarantee
-     termination (the first clears bits, the second evicts). *)
-  let victim t ~evictable =
+  (* Sweep the hand: a referenced frame loses its bit and gets a second
+     chance, so a non-empty clock yields a victim within two sweeps. *)
+  let victim t =
     if t.n = 0 then None
-    else begin
+    else
       let size = Array.length t.keys in
-      let budget = ref (2 * size) in
-      let result = ref None in
-      while !result = None && !budget > 0 do
-        decr budget;
+      let rec sweep () =
         let slot = t.hand in
         t.hand <- (t.hand + 1) mod size;
-        let k = t.keys.(slot) in
-        if k >= 0 && evictable k then
-          if t.refs.(slot) then t.refs.(slot) <- false
-          else result := Some (evict_slot t slot)
-      done;
-      !result
-    end
+        if t.keys.(slot) < 0 then sweep ()
+        else if t.refs.(slot) then begin
+          t.refs.(slot) <- false;
+          sweep ()
+        end
+        else Some (evict_slot t slot)
+      in
+      sweep ()
 
   let clear t =
     Array.fill t.keys 0 (Array.length t.keys) (-1);
@@ -267,12 +248,12 @@ module Two_q_policy = struct
       done
     end
 
-  let insert t ~hint k =
-    if hint = `Hot && Hashtbl.mem t.ghosts k then begin
+  let insert t k =
+    if Hashtbl.mem t.ghosts k then begin
       Hashtbl.remove t.ghosts k;
-      Dlist.insert t.am ~at_front:true k
+      Dlist.insert t.am k
     end
-    else Dlist.insert t.a1in ~at_front:true k
+    else Dlist.insert t.a1in k
 
   let touch t k =
     (* classic 2Q: hits inside a1in do not promote; hits in am refresh *)
@@ -283,19 +264,16 @@ module Two_q_policy = struct
     Dlist.remove t.am k;
     Hashtbl.remove t.ghosts k
 
-  let victim t ~evictable =
-    let from_a1in () =
-      match Dlist.pop_back_filtered t.a1in ~ok:evictable with
+  (* The [else] branch runs only with [am] non-empty, so neither branch
+     needs the other queue as a fallback. *)
+  let victim t =
+    if Dlist.length t.a1in > t.kin || Dlist.length t.am = 0 then (
+      match Dlist.pop_back t.a1in with
       | Some k ->
           ghost_add t k;
           Some k
-      | None -> None
-    in
-    let from_am () = Dlist.pop_back_filtered t.am ~ok:evictable in
-    if Dlist.length t.a1in > t.kin || Dlist.length t.am = 0 then
-      match from_a1in () with Some k -> Some k | None -> from_am ()
-    else
-      match from_am () with Some k -> Some k | None -> from_a1in ()
+      | None -> None)
+    else Dlist.pop_back t.am
 
   let clear t =
     Dlist.clear t.a1in;
@@ -345,12 +323,12 @@ let s_name = function
   | Clock_st _ -> Clock_policy.name
   | Two_q_st _ -> Two_q_policy.name
 
-let s_insert st ~hint k =
+let s_insert st k =
   match st with
-  | Lru_st s -> Lru_policy.insert s ~hint k
-  | Fifo_st s -> Fifo_policy.insert s ~hint k
-  | Clock_st s -> Clock_policy.insert s ~hint k
-  | Two_q_st s -> Two_q_policy.insert s ~hint k
+  | Lru_st s -> Lru_policy.insert s k
+  | Fifo_st s -> Fifo_policy.insert s k
+  | Clock_st s -> Clock_policy.insert s k
+  | Two_q_st s -> Two_q_policy.insert s k
 
 let s_touch st k =
   match st with
@@ -366,9 +344,8 @@ let s_remove st k =
   | Clock_st s -> Clock_policy.remove s k
   | Two_q_st s -> Two_q_policy.remove s k
 
-let s_victim st ~evictable =
-  match st with
-  | Lru_st s -> Lru_policy.victim s ~evictable
-  | Fifo_st s -> Fifo_policy.victim s ~evictable
-  | Clock_st s -> Clock_policy.victim s ~evictable
-  | Two_q_st s -> Two_q_policy.victim s ~evictable
+let s_victim = function
+  | Lru_st s -> Lru_policy.victim s
+  | Fifo_st s -> Fifo_policy.victim s
+  | Clock_st s -> Clock_policy.victim s
+  | Two_q_st s -> Two_q_policy.victim s

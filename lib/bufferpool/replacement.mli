@@ -6,13 +6,8 @@
     bookkeeping, so implementations stay small and deterministic.
 
     Keys are opaque ints ({!Buffer_pool} packs an owner id and a page id
-    into one). All operations are O(1) amortized except [victim], which may
-    scan past pinned frames. *)
-
-(** Insertion hint. [`Hot] marks a frame expected to be re-used (default);
-    [`Cold] marks a frame from a sequential scan, which a policy should
-    prefer to evict early (see {!Buffer_pool.advise_sequential}). *)
-type hint = [ `Hot | `Cold ]
+    into one). All operations are O(1) amortized except CLOCK's [victim],
+    which may sweep past referenced frames. *)
 
 (** The policy interface. The pool keeps one [t] and routes every
     residency change through it. Invariants the pool
@@ -25,15 +20,14 @@ module type S = sig
   val name : string
 
   (** [create ~capacity] makes an empty policy sized for [capacity]
-      frames (a hint — policies must tolerate temporary overcommit when
-      every frame is pinned). *)
+      frames. *)
   val create : capacity:int -> t
 
   val length : t -> int
   val mem : t -> int -> bool
 
-  (** [insert t ~hint k] records [k] as resident. *)
-  val insert : t -> hint:hint -> int -> unit
+  (** [insert t k] records [k] as resident. *)
+  val insert : t -> int -> unit
 
   (** [touch t k] records a hit on resident key [k]. *)
   val touch : t -> int -> unit
@@ -42,10 +36,9 @@ module type S = sig
       semantics. *)
   val remove : t -> int -> unit
 
-  (** [victim t ~evictable] selects, removes and returns the next victim,
-      skipping keys for which [evictable] is [false] (pinned frames).
-      Returns [None] when no resident frame is evictable. *)
-  val victim : t -> evictable:(int -> bool) -> int option
+  (** [victim t] selects, removes and returns the next victim; [None]
+      when no key is resident. *)
+  val victim : t -> int option
 
   val clear : t -> unit
 end
@@ -87,7 +80,7 @@ type state =
 
 val make : policy -> capacity:int -> state
 val s_name : state -> string
-val s_insert : state -> hint:hint -> int -> unit
+val s_insert : state -> int -> unit
 val s_touch : state -> int -> unit
 val s_remove : state -> int -> unit
-val s_victim : state -> evictable:(int -> bool) -> int option
+val s_victim : state -> int option

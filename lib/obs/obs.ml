@@ -606,11 +606,11 @@ type totals = {
   t_phase_ns : (string * int) list;
 }
 
-(* Replay a JSONL trace back into I/O totals. A [Write_back] is a
-   deferred write being charged, so it counts into [t_writes] too —
-   mirroring how {!Pc_pagestore.Io_stats} accounts write-backs. Events
-   carrying [wall_ns] (v2 traces) additionally contribute a wall-clock
-   extent and per-category phase sums; v1 tick-only traces yield zeros. *)
+(* Replay a JSONL trace back into I/O totals. A [Write_back], which only
+   traces from write-back pools carry, is a deferred write being
+   charged, so it counts into [t_writes] too. Events carrying [wall_ns]
+   (v2 traces) additionally contribute a wall-clock extent and
+   per-category phase sums; v1 tick-only traces yield zeros. *)
 let replay_file path =
   let acc =
     ref

@@ -45,7 +45,7 @@ module Clock : sig
   val now : t -> int
 end
 
-(** Event taxonomy. [Read]..[Pin] fire at the {!Pc_pagestore.Pager} and
+(** Event taxonomy. [Read]..[Evict] fire at the {!Pc_pagestore.Pager} and
     {!Pc_bufferpool.Buffer_pool} counter sites; [Span_begin]/[Span_end]
     bracket structure entry points. *)
 type kind =
@@ -55,8 +55,13 @@ type kind =
   | Free  (** page released *)
   | Cache_hit  (** access absorbed by the buffer pool *)
   | Evict  (** frame pushed out of the buffer pool *)
-  | Write_back  (** deferred write charged at eviction or flush *)
-  | Pin  (** frame pinned resident *)
+  | Write_back
+      (** deferred write charged at eviction or flush. The pool is
+          write-through and never emits it; it is still decoded so that
+          traces from write-back pools replay, counting into [writes] *)
+  | Pin
+      (** frame pinned resident. Never emitted (the pool has no pins);
+          still decoded so that older traces read back *)
   | Fault
       (** a failed transfer attempt — a {!Pc_pagestore.Fault_plan}
           injection or a device error — one event per attempt, tagged
@@ -284,7 +289,9 @@ val iter_file : string -> (event -> unit) -> unit
     the counters it mirrors. *)
 type totals = {
   t_reads : int;
-  t_writes : int;  (** immediate writes plus write-backs, as {!Pc_pagestore.Io_stats.writes} *)
+  t_writes : int;
+      (** device writes, as {!Pc_pagestore.Io_stats.writes}, plus any
+          [Write_back] events *)
   t_cache_hits : int;
   t_allocs : int;
   t_frees : int;

@@ -32,17 +32,13 @@
     changes I/O counts, and with it absent (or the sink null) the traced
     run is byte-identical — the same contract as {!Metrics}.
 
-    Known model edges (documented, not silently wrong): pinned frames
-    can divert an eviction from the strict LRU victim, and [`Cold]
-    admission hints reorder the stack; both are outside the inclusion
-    property, so predictions are exact only for unhinted, unpinned LRU
-    (what E17 gates) and an upper bound elsewhere. Write-back pools
-    defer the [Write] events a trace would replay. [Free] of a page that
-    intervened between two references to [p] retroactively shrinks
+    Known model edge (documented, not silently wrong): [Free] of a page
+    that intervened between two references to [p] retroactively shrinks
     [p]'s distance, while a small pool may already have evicted [p]
     before the free — so with frees in the stream the curve is an upper
     bound on hits, exact again at capacities holding every distinct
-    page (test: [with frees: prediction bounds LRU above]). *)
+    page (test: [with frees: prediction bounds LRU above]). Without
+    frees the prediction is exact for an LRU pool, which E17 gates. *)
 
 (** {1 The shadow stack} *)
 

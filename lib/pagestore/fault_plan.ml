@@ -60,7 +60,6 @@ let make kind =
 let kind t = t.kind
 let arm t = t.armed <- true
 let disarm t = t.armed <- false
-let armed t = t.armed
 let injected t = t.injected
 
 type decision =

@@ -10,11 +10,10 @@
     A plan is installed on a pager with {!Pager.set_fault_plan} (or
     ambiently for all subsequently created pagers with
     {!Pager.set_ambient_fault_plan}) and consulted at every device
-    transfer: read misses, immediate write charges, page allocations and
-    explicit write-back flushes. Accesses absorbed by the buffer pool
-    are not device transfers and never fault. Every injected fault is
-    traced through {!Pc_obs.Obs} as a [Fault] event, so a trace shows
-    exactly where the fault landed.
+    transfer: read misses, write charges and page allocations. Accesses
+    absorbed by the buffer pool are not device transfers and never
+    fault. Every injected fault is traced through {!Pc_obs.Obs} as a
+    [Fault] event, so a trace shows exactly where the fault landed.
 
     Plans are deliberately deterministic: the same plan over the same
     access sequence injects the same faults, which is what lets the
@@ -59,7 +58,6 @@ val kind : t -> kind
 val arm : t -> unit
 
 val disarm : t -> unit
-val armed : t -> bool
 
 (** [injected t] is the number of device errors injected so far. *)
 val injected : t -> int

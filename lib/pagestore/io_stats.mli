@@ -7,10 +7,9 @@
 
     [evictions] counts this pager's frames pushed out of its buffer pool
     (by any pool client — with a shared {!Pc_bufferpool.Buffer_pool} the
-    evictor may be another pager drawing on the same budget), and
-    [write_backs] counts deferred writes charged at eviction or flush time
-    when the pool runs in write-back mode. Write-backs are also included
-    in [writes], so {!total} remains the paper's I/O cost.
+    evictor may be another pager drawing on the same budget). The pool
+    is write-through, so [write_backs] is always 0; the field stays so
+    that {!pp}, {!to_args} and the JSON round-trip keep their format.
 
     [retries] counts the reissues of transfers that hit transient errors
     (a {!Pc_pagestore.Fault_plan.Transient} burst, or a device error

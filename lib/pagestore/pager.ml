@@ -6,7 +6,6 @@ exception Io_fault of { page : int; op : string }
 exception Torn_write of { page : int; kept : int; len : int }
 exception Corrupt_page of { page : int }
 exception Page_overflow of { page : int; len : int; capacity : int }
-exception Frame_mutated of { page : int }
 
 (* [Damaged] only appears on pagers rebuilt by {!attach_recovered}: a
    page whose checksum failed even after journal redo. Reading it is a
@@ -14,18 +13,11 @@ exception Frame_mutated of { page : int }
    it heals it. *)
 type 'a slot = Live of 'a array | Freed | Damaged
 
-(* A cached page frame. [shadow] is a pristine copy kept only when the
-   pool runs in validation mode; it lets the pager detect callers that
-   mutate an array returned by {!read} instead of going through
-   {!write}. *)
-type 'a frame = { mutable data : 'a array; mutable shadow : 'a array option }
-
 (* Durability state of a pager enrolled in a {!Wal}: the checksum side
    table (committed content only), the quarantine set for degraded
    reads, and the open transaction's first-touch undo log. *)
 type 'a dur = {
   wal : Wal.t;
-  widx : int; (* enrollment index inside [wal] *)
   crcs : (int, int64) Hashtbl.t;
   quarantined : (int, unit) Hashtbl.t;
   undo : (int, 'a slot_opt) Hashtbl.t;
@@ -50,7 +42,7 @@ type 'a t = {
   mutable slots : 'a slot option array;
   mutable next_id : int;
   mutable live : int;
-  frames : (int, 'a frame) Hashtbl.t;
+  frames : (int, 'a array) Hashtbl.t; (* this pager's pool-resident pages *)
   pool : Buffer_pool.t;
   client : Buffer_pool.client;
   stats : Io_stats.t;
@@ -92,16 +84,6 @@ let create_raw ?(cache_capacity = 0) ?pool ?obs ?(obs_name = "pager") ?backend
            I/O counts to the old built-in LRU *)
         Buffer_pool.create ~policy:Replacement.Lru ~capacity:cache_capacity ()
   in
-  (match backend with
-  | Some _ when Buffer_pool.write_back_mode pool ->
-      (* write-back defers device writes past commit points; the binary
-         path insists the device always holds what was charged *)
-      invalid_arg
-        (Printf.sprintf
-           "Pager(%s): a block-device backend does not support write-back \
-            pools"
-           obs_name)
-  | _ -> ());
   let obs_src = Option.map (fun o -> Pc_obs.Obs.register o ~name:obs_name) obs in
   {
     page_capacity;
@@ -389,7 +371,6 @@ let enroll t wal ~idx ~seed_crcs =
   let d =
     {
       wal;
-      widx = idx;
       crcs = seed_crcs;
       quarantined = Hashtbl.create 4;
       undo = Hashtbl.create 16;
@@ -513,80 +494,52 @@ let check_len t ~page records =
   if len > t.page_capacity then
     raise (Page_overflow { page; len; capacity = t.page_capacity })
 
-let validate_frame t id (fr : 'a frame) =
-  if Buffer_pool.validate_mode t.pool then
-    match fr.shadow with
-    | Some s when fr.data <> s -> raise (Frame_mutated { page = id })
-    | _ -> ()
-
-let refresh_shadow t (fr : 'a frame) =
-  if Buffer_pool.validate_mode t.pool then
-    fr.shadow <- Some (Array.copy fr.data)
-
-(* Reconcile pool events since our last operation: drop frames the pool
-   evicted (validating them on the way out) and charge eviction /
-   deferred-write accounting. Runs at the start of every operation, so
-   lookups in [t.frames] never see a stale frame. *)
+(* Reconcile pool events since our last operation: drop the frames the
+   pool evicted and count the evictions. Runs at the start of every
+   operation, so lookups in [t.frames] never see a stale frame. *)
 let sync t =
   match Buffer_pool.drain t.client with
-  | None -> ()
-  | Some d ->
-      List.iter
-        (fun page ->
-          match Hashtbl.find_opt t.frames page with
-          | Some fr ->
-              validate_frame t page fr;
-              Hashtbl.remove t.frames page
-          | None -> ())
-        d.Buffer_pool.d_drops;
-      t.stats.evictions <- t.stats.evictions + d.Buffer_pool.d_evictions;
-      t.stats.write_backs <- t.stats.write_backs + d.Buffer_pool.d_write_backs;
-      t.stats.writes <- t.stats.writes + d.Buffer_pool.d_write_backs
+  | [] -> ()
+  | drops ->
+      List.iter (Hashtbl.remove t.frames) drops;
+      t.stats.evictions <- t.stats.evictions + List.length drops
 
 (* Make [id] resident (caller guarantees it is not). May evict frames of
    this or any other pager sharing the pool. *)
 let cache_insert t id data =
   if Buffer_pool.capacity t.pool > 0 then begin
-    let fr = { data; shadow = None } in
-    refresh_shadow t fr;
-    Hashtbl.replace t.frames id fr;
+    Hashtbl.replace t.frames id data;
     Buffer_pool.admit t.client id
   end
 
-(* A write is charged immediately in write-through mode; in write-back
-   mode it only dirties the resident frame and is charged at eviction or
-   flush. A write that cannot be buffered (capacity-0 pool) is always
-   charged immediately.
+(* Charge one write I/O now: the pool is write-through.
 
    A torn write transfers only the first half of the page: the prefix
    replaces the slot (later reads see the torn page), the stale cached
    frame is dropped, the partial transfer is still charged as one write,
    and the caller gets the typed error. *)
-let charge_write t id ~op ~records ~buffered =
-  if buffered && Buffer_pool.write_back_mode t.pool then
-    Buffer_pool.mark_dirty t.client id
-  else
-    match plan_write t with
-    | `Deny ->
-        fault_ev t ~page:id;
-        raise (Io_fault { page = id; op })
-    | `Tear ->
-        let len = Array.length records in
-        let kept = len / 2 in
-        t.slots.(id) <- Some (Live (Array.sub records 0 kept));
-        (* on a device the tear is at sector granularity: half the
-           page's sectors transfer, later reads fail the checksum *)
-        dev_put_torn t ~page:id records;
-        Hashtbl.remove t.frames id;
-        Buffer_pool.forget t.client id;
-        t.stats.writes <- t.stats.writes + 1;
-        ev t Pc_obs.Obs.Write ~page:id;
-        fault_ev t ~page:id;
-        raise (Torn_write { page = id; kept; len })
-    | `Proceed ->
-        t.stats.writes <- t.stats.writes + 1;
-        ev t Pc_obs.Obs.Write ~page:id;
-        dev_put t ~page:id records
+let charge_write t id ~op ~records =
+  match plan_write t with
+  | `Deny ->
+      fault_ev t ~page:id;
+      raise (Io_fault { page = id; op })
+  | `Tear ->
+      let len = Array.length records in
+      let kept = len / 2 in
+      t.slots.(id) <- Some (Live (Array.sub records 0 kept));
+      (* on a device the tear is at sector granularity: half the
+         page's sectors transfer, later reads fail the checksum *)
+      dev_put_torn t ~page:id records;
+      Hashtbl.remove t.frames id;
+      Buffer_pool.forget t.client id;
+      t.stats.writes <- t.stats.writes + 1;
+      ev t Pc_obs.Obs.Write ~page:id;
+      fault_ev t ~page:id;
+      raise (Torn_write { page = id; kept; len })
+  | `Proceed ->
+      t.stats.writes <- t.stats.writes + 1;
+      ev t Pc_obs.Obs.Write ~page:id;
+      dev_put t ~page:id records
 
 let alloc t records =
   sync t;
@@ -600,11 +553,8 @@ let alloc t records =
   t.stats.allocs <- t.stats.allocs + 1;
   ev t Pc_obs.Obs.Alloc ~page:id;
   cache_insert t id records;
-  if not (durable t) then
-    charge_write t id ~op:"alloc" ~records ~buffered:(Hashtbl.mem t.frames id);
+  if not (durable t) then charge_write t id ~op:"alloc" ~records;
   id
-
-let alloc_empty t = alloc t [||]
 
 (* Rejects unknown and freed pages but tolerates [Damaged]: overwriting
    (or freeing) a damaged page is how it heals. *)
@@ -650,12 +600,11 @@ let corrupt_read t id =
 let read t id =
   sync t;
   match Hashtbl.find_opt t.frames id with
-  | Some fr ->
-      validate_frame t id fr;
+  | Some data ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       ev t Pc_obs.Obs.Cache_hit ~page:id;
       Buffer_pool.touch t.client id;
-      fr.data
+      data
   | None -> (
       match t.dur with
       | Some d when Hashtbl.mem d.quarantined id ->
@@ -688,15 +637,12 @@ let write t id records =
   check_writable t id "write";
   touch_txn t id;
   t.slots.(id) <- Some (Live records);
-  (match Hashtbl.find_opt t.frames id with
-  | Some fr ->
-      validate_frame t id fr;
-      fr.data <- records;
-      refresh_shadow t fr;
-      Buffer_pool.touch t.client id
-  | None -> cache_insert t id records);
-  if not (durable t) then
-    charge_write t id ~op:"write" ~records ~buffered:(Hashtbl.mem t.frames id)
+  if Hashtbl.mem t.frames id then begin
+    Hashtbl.replace t.frames id records;
+    Buffer_pool.touch t.client id
+  end
+  else cache_insert t id records;
+  if not (durable t) then charge_write t id ~op:"write" ~records
 
 let free t id =
   sync t;
@@ -706,7 +652,6 @@ let free t id =
   t.live <- t.live - 1;
   t.stats.frees <- t.stats.frees + 1;
   ev t Pc_obs.Obs.Free ~page:id;
-  (* a freed page's dirty data is discarded, never written back *)
   Hashtbl.remove t.frames id;
   Buffer_pool.forget t.client id;
   (* durable pagers defer the trim to the commit's in-place apply *)
@@ -736,45 +681,6 @@ let drop_cache t =
   Hashtbl.reset t.frames;
   Buffer_pool.drop_client t.client
 
-let flush t =
-  sync t;
-  (* Veto write-backs page by page *before* the pool clears dirty bits:
-     if the plan denies one, every frame (pinned ones included) is still
-     resident and dirty, so a caller that handles the fault can retry
-     the flush. A tear mid-flush degrades to a plain denial — the slot
-     already holds the full data, so there is nothing to tear. The page
-     order matches [Buffer_pool.flush_client]. *)
-  (match t.plan with
-  | Some p when Fault_plan.armed p ->
-      List.iter
-        (fun page ->
-          match plan_write t with
-          | `Proceed -> ()
-          | `Deny | `Tear ->
-              fault_ev t ~page;
-              raise (Io_fault { page; op = "flush" }))
-        (Buffer_pool.dirty_pages t.client)
-  | _ -> ());
-  let n = Buffer_pool.flush_client t.client in
-  t.stats.writes <- t.stats.writes + n;
-  t.stats.write_backs <- t.stats.write_backs + n;
-  dev_flush t
-
-let pin t id =
-  if Buffer_pool.capacity t.pool > 0 then begin
-    sync t;
-    if not (Hashtbl.mem t.frames id) then ignore (read t id);
-    Buffer_pool.pin t.client id;
-    ev t Pc_obs.Obs.Pin ~page:id
-  end
-
-let unpin t id =
-  sync t;
-  Buffer_pool.unpin t.client id
-
-let advise_sequential t = Buffer_pool.advise_sequential t.client true
-let advise_normal t = Buffer_pool.advise_sequential t.client false
-
 (* ------------------------------------------------------------------ *)
 (* Durability: creation, recovery, degraded reads                     *)
 (* ------------------------------------------------------------------ *)
@@ -791,7 +697,6 @@ let create ?cache_capacity ?pool ?obs ?obs_name ?wal ?backend ~page_capacity ()
   t
 
 let wal t = Option.map (fun d -> d.wal) t.dur
-let wal_index t = Option.map (fun d -> d.widx) t.dur
 
 (* The read path mutates nothing structural exactly when: the pool never
    caches (capacity 0 makes admit/touch no-ops and [cache_insert] is

@@ -44,11 +44,6 @@ exception Corrupt_page of { page : int }
 exception Page_overflow of { page : int; len : int; capacity : int }
 (** Raised when a page is written with more records than it can hold. *)
 
-exception Frame_mutated of { page : int }
-(** Raised (only when the pool was created with [~validate:true]) when a
-    cached page array was mutated in place instead of going through
-    {!write} — the aliasing hazard of {!read}'s zero-copy return. *)
-
 (** A binary storage backend: pages round-trip through
     [codec] ({!Pc_blockdev.Page_codec}) to raw bytes on [dev]
     ({!Pc_blockdev.Block_device}) — an in-memory byte store or a real
@@ -57,8 +52,7 @@ exception Frame_mutated of { page : int }
     without a backend; what changes is that a read miss really decodes
     the device's bytes (a torn sector or flipped byte surfaces as
     {!Corrupt_page}, never garbage) and every charged write really
-    lands encoded on the device. Write-back pools are not supported —
-    the binary path insists the device always holds what was charged. *)
+    lands encoded on the device. *)
 type 'a backend = {
   dev : Pc_blockdev.Block_device.t;
   codec : 'a Pc_blockdev.Page_codec.t;
@@ -97,12 +91,8 @@ val create :
 (** [device t] is the block device under the pager's backend, if any. *)
 val device : 'a t -> Pc_blockdev.Block_device.t option
 
-(** [wal t] is the journal this pager is enrolled in, if any;
-    [wal_index t] its enrollment index (pagers are re-attached by index
-    at recovery). *)
+(** [wal t] is the journal this pager is enrolled in, if any. *)
 val wal : 'a t -> Wal.t option
-
-val wal_index : 'a t -> int option
 
 (** [attach_recovered r ~idx ~page_capacity ()] rebuilds the pager with
     enrollment index [idx] from a {!Wal.recover} result: recovered pages
@@ -145,25 +135,21 @@ val pool : 'a t -> Buffer_pool.t
 val obs : 'a t -> Pc_obs.Obs.t option
 
 (** [alloc t records] allocates a fresh page holding [records] and returns
-    its id. Counts one write I/O (deferred under a write-back pool). *)
+    its id. Counts one write I/O. *)
 val alloc : 'a t -> 'a array -> int
 
-(** [alloc_empty t] allocates a fresh empty page (one write I/O). *)
-val alloc_empty : 'a t -> int
-
 (** [read t id] returns the page contents. Counts one read I/O on a buffer
-    pool miss, zero on a hit. The returned array must not be mutated; a
-    pool in validation mode turns such mutations into {!Frame_mutated}. *)
+    pool miss, zero on a hit. The returned array is the cached frame
+    itself, not a copy: callers must not mutate it, or later cache hits
+    return the mutated records. Change a page through {!write}. *)
 val read : 'a t -> int -> 'a array
 
 (** [write t id records] replaces the page contents. One write I/O,
-    charged immediately under a write-through pool (the default) or at
-    eviction/{!flush} time under a write-back pool. *)
+    charged immediately. *)
 val write : 'a t -> int -> 'a array -> unit
 
 (** [free t id] releases the page. Freed pages no longer count toward
-    {!pages_in_use} and may not be accessed again; a dirty cached copy is
-    discarded, never written back. *)
+    {!pages_in_use} and may not be accessed again. *)
 val free : 'a t -> int -> unit
 
 (** [pages_in_use t] is the current number of live pages — the storage
@@ -203,10 +189,9 @@ val with_counted : 'a t -> (unit -> 'b) -> 'b * Io_stats.t
     The scripted-device layer used by the differential model-checking
     harness ({!Pc_check} and DESIGN.md §11) and by failure-injection
     tests. A {!Fault_plan} counts {e device transfers} (read misses,
-    immediate write charges, allocs, flush write-backs; cache hits and
-    deferred dirtying are free and never faulted) and injects at the Nth
-    one. Every injected error also emits a {!Pc_obs.Obs.Fault} trace
-    event. *)
+    write charges and allocs; cache hits are free and never faulted) and
+    injects at the Nth one. Every injected error also emits a
+    {!Pc_obs.Obs.Fault} trace event. *)
 
 (** [set_fault_plan t p] installs [p] on this pager; several pagers may
     share one plan (and then share its transfer counter). *)
@@ -223,31 +208,8 @@ val set_ambient_fault_plan : Fault_plan.t -> unit
 val clear_ambient_fault_plan : unit -> unit
 
 (** [drop_cache t] drops this pager's frames from the buffer pool (e.g.
-    between benchmark repetitions) without touching the stats. Dirty
-    frames are discarded; call {!flush} first if their write-back I/O
-    should be charged. *)
+    between benchmark repetitions) without touching the stats. *)
 val drop_cache : 'a t -> unit
-
-(** {1 Buffer-pool controls} *)
-
-(** [flush t] writes back this pager's dirty frames (write-back pools;
-    no-op otherwise), charging the deferred write I/Os now. Frames stay
-    resident. *)
-val flush : 'a t -> unit
-
-(** [pin t id] makes page [id] resident (charging a read on miss) and pins
-    its frame so the pool cannot evict it; pins nest. No-op on a
-    capacity-0 pool. *)
-val pin : 'a t -> int -> unit
-
-val unpin : 'a t -> int -> unit
-
-(** [advise_sequential t] marks upcoming accesses as a sequential scan:
-    frames are admitted cold so the pool evicts them in preference to the
-    resident hot set. [advise_normal] reverts. *)
-val advise_sequential : 'a t -> unit
-
-val advise_normal : 'a t -> unit
 
 (** {1 Degraded reads}
 
@@ -262,7 +224,7 @@ val degraded : 'a t -> bool
 
 (** [consume_partial t] reports whether any read since the last call was
     served from the quarantine (i.e. results may be partial), and clears
-    the marker. Structures surface this through their query stats. *)
+    the marker. No structure reads it; only the durability tests do. *)
 val consume_partial : 'a t -> bool
 
 val quarantined_pages : 'a t -> int list

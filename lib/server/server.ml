@@ -233,8 +233,15 @@ let serve_session t fd =
   (* A failed reply means the client is gone (EPIPE/ECONNRESET on a
      disconnect between request and reply, or any other socket error):
      report it so the loop drops just this session — the worker domain
-     must never die for a vanished peer. *)
+     must never die for a vanished peer. A reply that does not fit in one
+     frame is replaced by an error naming its size, and the session goes
+     on. *)
   let say s =
+    let s =
+      let n = String.length s in
+      if n <= Wire.max_frame then s
+      else Printf.sprintf "err reply too large (%d bytes); narrow the query" n
+    in
     match Wire.write_frame fd s with
     | () -> true
     | exception

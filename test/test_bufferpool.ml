@@ -1,6 +1,6 @@
 (* Tests for the shared buffer-pool manager: replacement policies,
-   pool sharing across pagers, pinning, write-back accounting, scan
-   hints, and the frame-mutation validator. *)
+   pool sharing across pagers, residency under random traffic, and
+   write-through accounting. *)
 
 open Pathcaching
 
@@ -146,43 +146,13 @@ let test_policy_of_string () =
   check_bool "2q alias" true (of_string "2q" = Some Two_q);
   check_bool "unknown" true (of_string "mru" = None)
 
-(* {1 Pinning} *)
+(* {1 Generative residency} *)
 
-let test_pin_blocks_eviction () =
-  let pool = Buffer_pool.create ~capacity:2 () in
-  let p = make_pager ~pool ~pages:6 () in
-  Pager.pin p 0;
-  ignore (Pager.read p 1);
-  ignore (Pager.read p 2);
-  ignore (Pager.read p 3);
-  ignore (Pager.read p 0);
-  let st = Pager.stats p in
-  (* pin loaded 0 (1 read), then 1 2 3 missed but 0 was never evicted *)
-  check_int "pinned page stays resident" 4 st.Io_stats.reads;
-  check_int "final read of 0 hits" 1 st.Io_stats.cache_hits;
-  Pager.unpin p 0;
-  ignore (Pager.read p 4);
-  ignore (Pager.read p 5);
-  ignore (Pager.read p 0);
-  check_int "after unpin, 0 can be evicted" 7 (Pager.stats p).Io_stats.reads
-
-let test_pin_overcommit () =
-  let pool = Buffer_pool.create ~capacity:1 () in
-  let p = make_pager ~pool ~pages:3 () in
-  Pager.pin p 0;
-  ignore (Pager.read p 1);
-  (* every frame pinned: pool admits past budget and counts overcommit *)
-  check_int "overcommitted" 2 (Buffer_pool.occupancy pool);
-  check_bool "overcommit counted" true ((Buffer_pool.stats pool).overcommits >= 1);
-  Pager.unpin p 0
-
-(* {1 Generative pin/unpin lifecycle} *)
-
-(* Random admit/touch/pin/unpin traffic from two clients against a small
-   pool, re-checking after every step that no pinned frame was evicted —
-   under every replacement policy. Pins deliberately exceed the budget at
-   times so overcommit paths are exercised too. *)
-let test_pin_lifecycle_generative () =
+(* Random admit/touch/forget traffic from two clients against a small
+   pool, re-checking after every step that the pool stays within its
+   budget and that a page just demanded is resident — under every
+   replacement policy. *)
+let test_residency_generative () =
   List.iter
     (fun policy ->
       List.iter
@@ -192,87 +162,30 @@ let test_pin_lifecycle_generative () =
           let clients =
             [| Buffer_pool.register pool; Buffer_pool.register pool |]
           in
-          let pinned = Hashtbl.create 16 in
-          let demand c page =
-            if Buffer_pool.resident c page then Buffer_pool.touch c page
-            else Buffer_pool.admit c page
+          let fail step fmt =
+            Alcotest.failf ("%s seed %d step %d: " ^^ fmt)
+              (Replacement.name policy) seed step
           in
           for step = 1 to 500 do
-            let ci = Rng.int rng 2 in
-            let c = clients.(ci) in
+            let c = clients.(Rng.int rng 2) in
             let page = Rng.int rng 20 in
             (match Rng.int rng 10 with
             | 0 | 1 ->
-                if
-                  Hashtbl.length pinned < 8
-                  && not (Hashtbl.mem pinned (ci, page))
-                then begin
-                  demand c page;
-                  Buffer_pool.pin c page;
-                  Hashtbl.replace pinned (ci, page) ()
-                end
-            | 2 -> (
-                match Hashtbl.fold (fun k () acc -> k :: acc) pinned [] with
-                | [] -> ()
-                | keys ->
-                    let n = List.length keys in
-                    let ci', page' = List.nth keys (Rng.int rng n) in
-                    Buffer_pool.unpin clients.(ci') page';
-                    Hashtbl.remove pinned (ci', page'))
-            | _ -> demand c page);
-            Hashtbl.iter
-              (fun (ci', page') () ->
-                let c' = clients.(ci') in
-                if not (Buffer_pool.resident c' page') then
-                  Alcotest.failf
-                    "%s seed %d step %d: pinned page %d of client %d evicted"
-                    (Replacement.name policy) seed step page' ci';
-                if not (Buffer_pool.pinned c' page') then
-                  Alcotest.failf
-                    "%s seed %d step %d: pin flag lost on page %d"
-                    (Replacement.name policy) seed step page')
-              pinned
-          done;
-          (* unpin everything: a flood may now evict freely and occupancy
-             settles back inside the budget *)
-          Hashtbl.iter
-            (fun (ci', page') () -> Buffer_pool.unpin clients.(ci') page')
-            pinned;
-          for page = 100 to 120 do
-            demand clients.(0) page
-          done;
-          check_bool
-            (Replacement.name policy ^ ": occupancy within budget after unpin")
-            true
-            (Buffer_pool.occupancy pool <= Buffer_pool.capacity pool))
+                Buffer_pool.forget c page;
+                if Buffer_pool.resident c page then
+                  fail step "page %d resident after forget" page
+            | _ ->
+                if Buffer_pool.resident c page then Buffer_pool.touch c page
+                else Buffer_pool.admit c page;
+                if not (Buffer_pool.resident c page) then
+                  fail step "page %d not resident after admit" page);
+            if Buffer_pool.occupancy pool > Buffer_pool.capacity pool then
+              fail step "occupancy %d over budget" (Buffer_pool.occupancy pool)
+          done)
         [ 101; 202; 303 ])
     Replacement.all
 
-(* {1 Write-back mode} *)
-
-let test_write_back_deferred () =
-  let pool = Buffer_pool.create ~write_back:true ~capacity:2 () in
-  let p = make_pager ~pool ~pages:2 () in
-  Pager.write p 0 [| 42 |];
-  Pager.write p 0 [| 43 |];
-  check_int "writes deferred" 0 (Pager.stats p).Io_stats.writes;
-  Pager.flush p;
-  let st = Pager.stats p in
-  check_int "two updates, one flush write" 1 st.Io_stats.writes;
-  check_int "accounted as write-back" 1 st.Io_stats.write_backs;
-  Pager.flush p;
-  check_int "flush of clean pool is free" 1 (Pager.stats p).Io_stats.writes
-
-let test_write_back_on_eviction () =
-  let pool = Buffer_pool.create ~write_back:true ~capacity:1 () in
-  let p = make_pager ~pool ~pages:3 () in
-  Pager.write p 0 [| 9 |];
-  ignore (Pager.read p 1);
-  (* evicting dirty page 0 charges the deferred write *)
-  let st = Pager.stats p in
-  check_int "eviction wrote back" 1 st.Io_stats.write_backs;
-  check_int "charged as a write" 1 st.Io_stats.writes;
-  check_int "data survived" 9 (Pager.read p 0).(0)
+(* {1 Write-through} *)
 
 let test_write_through_immediate () =
   let p = make_pager ~cache_capacity:2 ~pages:2 () in
@@ -281,50 +194,15 @@ let test_write_through_immediate () =
   check_int "write-through charges each write" 2
     (Pager.stats p).Io_stats.writes
 
-let test_free_discards_dirty () =
-  let pool = Buffer_pool.create ~write_back:true ~capacity:2 () in
-  let p = make_pager ~pool ~pages:2 () in
-  Pager.write p 0 [| 7 |];
-  Pager.free p 0;
-  Pager.flush p;
-  check_int "freed page never written back" 0
-    (Pager.stats p).Io_stats.write_backs
-
-(* {1 Scan hints} *)
-
-let test_advise_sequential () =
-  (* with a sequential-scan hint, LRU admits scan pages cold so the
-     resident hot page survives a flood *)
-  let pool = Buffer_pool.create ~capacity:2 () in
-  let p = make_pager ~pool ~pages:8 () in
-  ignore (Pager.read p 0);
-  Pager.advise_sequential p;
-  for i = 1 to 5 do
-    ignore (Pager.read p i)
-  done;
-  Pager.advise_normal p;
-  ignore (Pager.read p 0);
-  check_int "hot page survived the advised scan" 1
-    (Pager.stats p).Io_stats.cache_hits
-
-(* {1 Frame-mutation validation (satellite: Pager.read aliasing)} *)
-
-let test_frame_mutated_detected () =
-  let pool = Buffer_pool.create ~validate:true ~capacity:2 () in
-  let p = make_pager ~pool ~pages:2 () in
-  let data = Pager.read p 0 in
-  data.(0) <- 999 (* illegal: mutating a cached frame behind the pager *);
-  (try
-     ignore (Pager.read p 0);
-     Alcotest.fail "expected Frame_mutated"
-   with Pager.Frame_mutated { page } -> check_int "page" 0 page)
-
+(* A write to a cached page replaces its frame: the next read is a hit
+   and returns the written records. *)
 let test_frame_mutation_legal_path () =
-  let pool = Buffer_pool.create ~validate:true ~capacity:2 () in
+  let pool = Buffer_pool.create ~capacity:2 () in
   let p = make_pager ~pool ~pages:2 () in
   ignore (Pager.read p 0);
   Pager.write p 0 [| 5 |] (* the legal mutation path *);
-  check_int "validated read" 5 (Pager.read p 0).(0)
+  check_int "cached read" 5 (Pager.read p 0).(0);
+  check_int "served by the pool" 1 (Pager.stats p).Io_stats.cache_hits
 
 let suite =
   [
@@ -339,19 +217,10 @@ let suite =
     Alcotest.test_case "clock: second chance" `Quick test_clock_second_chance;
     Alcotest.test_case "2q: scan resistance" `Quick test_two_q_scan_resistance;
     Alcotest.test_case "policy of_string" `Quick test_policy_of_string;
-    Alcotest.test_case "pin blocks eviction" `Quick test_pin_blocks_eviction;
-    Alcotest.test_case "pin overcommit" `Quick test_pin_overcommit;
-    Alcotest.test_case "pin lifecycle generative (all policies)" `Quick
-      test_pin_lifecycle_generative;
-    Alcotest.test_case "write-back deferred" `Quick test_write_back_deferred;
-    Alcotest.test_case "write-back on eviction" `Quick
-      test_write_back_on_eviction;
+    Alcotest.test_case "residency generative (all policies)" `Quick
+      test_residency_generative;
     Alcotest.test_case "write-through immediate" `Quick
       test_write_through_immediate;
-    Alcotest.test_case "free discards dirty" `Quick test_free_discards_dirty;
-    Alcotest.test_case "advise_sequential scan" `Quick test_advise_sequential;
-    Alcotest.test_case "frame mutation detected" `Quick
-      test_frame_mutated_detected;
     Alcotest.test_case "frame mutation legal path" `Quick
       test_frame_mutation_legal_path;
   ]

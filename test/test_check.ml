@@ -167,40 +167,6 @@ let test_faults_actually_injected () =
         (faulted >= 1 && injected >= 1))
     Subject.all
 
-(* ----- pinned frame under a faulted write-back ----- *)
-
-let test_pinned_frame_survives_faulted_flush () =
-  let open Pc_pagestore in
-  let pool =
-    Pc_bufferpool.Buffer_pool.create ~write_back:true ~capacity:4 ()
-  in
-  let pager = Pager.create ~pool ~page_capacity:4 () in
-  let pg = Pager.alloc pager [| 1; 2; 3 |] in
-  Pager.write pager pg [| 4; 5; 6 |];
-  (* deferred: dirty in the pool *)
-  Pager.pin pager pg;
-  let writes_before = (Pager.stats pager).Io_stats.writes in
-  let plan = Fault_plan.make (Fault_plan.Fail_stop { at = 1 }) in
-  Pager.set_fault_plan pager plan;
-  Fault_plan.arm plan;
-  (try
-     Pager.flush pager;
-     Alcotest.fail "flush did not fault"
-   with Pager.Io_fault _ -> ());
-  (* the veto fired before any dirty bit was cleared: nothing written *)
-  check_int "no write-back happened" writes_before
-    (Pager.stats pager).Io_stats.writes;
-  Fault_plan.disarm plan;
-  Pager.clear_fault_plan pager;
-  (* the frame stayed resident and dirty: a healthy flush writes it *)
-  Pager.flush pager;
-  check_int "write-back after recovery" (writes_before + 1)
-    (Pager.stats pager).Io_stats.writes;
-  Pager.unpin pager pg;
-  Pager.drop_cache pager;
-  Alcotest.(check (array int)) "deferred data survived the faulted flush"
-    [| 4; 5; 6 |] (Pager.read pager pg)
-
 (* ----- delete-heavy regressions (satellite 3) ----- *)
 
 let delete_heavy_ops ~seed ~n ~final =
@@ -262,8 +228,6 @@ let suite =
       test_fault_contract_all_targets;
     Alcotest.test_case "faults actually injected" `Quick
       test_faults_actually_injected;
-    Alcotest.test_case "pinned frame survives faulted flush" `Quick
-      test_pinned_frame_survives_faulted_flush;
     Alcotest.test_case "btree delete-heavy" `Quick test_btree_delete_heavy;
     Alcotest.test_case "dynamic delete-heavy" `Quick test_dynamic_delete_heavy;
     Alcotest.test_case "dsl string round trip" `Quick test_dsl_string_round_trip;

@@ -24,13 +24,12 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 
 (* Each domain drives its own client (pools are shared, clients are
-   not), doing admit/touch/pin/unpin/mark_dirty/resident/drain at
-   random. While they run, the main domain samples the per-client
-   monotonic counters and asserts they never decrease — a torn or
-   non-atomic counter shows up here as a backwards step. At quiescence
-   the frame table must be consistent: no pins left, aggregate stats
-   equal to the per-client sums, occupancy within capacity plus
-   recorded overcommits. *)
+   not), doing admit/touch/resident/drain at random. While they run, the
+   main domain samples the per-client monotonic counters and asserts
+   they never decrease — a torn or non-atomic counter shows up here as a
+   backwards step. At quiescence the frame table must be consistent:
+   aggregate stats equal to the per-client sums, occupancy within
+   capacity. *)
 let pool_hammer_rounds seed =
   let domains = 3 and steps = 4_000 and capacity = 24 and pages = 64 in
   let pool = Buffer_pool.create ~threadsafe:true ~capacity () in
@@ -51,16 +50,10 @@ let pool_hammer_rounds seed =
     for _ = 1 to steps do
       let page = Rng.int rng pages in
       match Rng.int rng 100 with
-      | r when r < 35 -> Buffer_pool.admit c page
-      | r when r < 60 -> Buffer_pool.touch c page
-      | r when r < 75 ->
-          (* pins always paired, so quiescence must end pin-free *)
-          Buffer_pool.pin c page;
-          ignore (Buffer_pool.resident c page);
-          Buffer_pool.unpin c page
-      | r when r < 85 -> Buffer_pool.mark_dirty c page
-      | r when r < 95 -> ignore (Buffer_pool.drain c)
-      | _ -> ignore (Buffer_pool.is_dirty c page)
+      | r when r < 40 -> Buffer_pool.admit c page
+      | r when r < 70 -> Buffer_pool.touch c page
+      | r when r < 85 -> ignore (Buffer_pool.resident c page)
+      | _ -> ignore (Buffer_pool.drain c)
     done;
     Atomic.incr finished
   in
@@ -69,21 +62,17 @@ let pool_hammer_rounds seed =
   in
   Atomic.decr gate;
   (* sample monotonicity while the workers are actually racing *)
-  let last = Array.make domains (0, 0, 0, 0) in
+  let last = Array.make domains (0, 0, 0) in
   let samples = ref 0 in
   while Atomic.get finished < domains do
     List.iteri
       (fun i (cs : Buffer_pool.client_stats) ->
-        let h, m, e, w = last.(i) in
-        if
-          cs.cs_hits < h || cs.cs_misses < m || cs.cs_evictions < e
-          || cs.cs_write_backs < w
-        then
+        let h, m, e = last.(i) in
+        if cs.cs_hits < h || cs.cs_misses < m || cs.cs_evictions < e then
           Alcotest.failf
-            "client %d counters went backwards: %d/%d/%d/%d after %d/%d/%d/%d"
-            i cs.cs_hits cs.cs_misses cs.cs_evictions cs.cs_write_backs h m e
-            w;
-        last.(i) <- (cs.cs_hits, cs.cs_misses, cs.cs_evictions, cs.cs_write_backs))
+            "client %d counters went backwards: %d/%d/%d after %d/%d/%d" i
+            cs.cs_hits cs.cs_misses cs.cs_evictions h m e;
+        last.(i) <- (cs.cs_hits, cs.cs_misses, cs.cs_evictions))
       (Buffer_pool.client_stats pool);
     incr samples;
     Domain.cpu_relax ()
@@ -91,7 +80,6 @@ let pool_hammer_rounds seed =
   Array.iter Domain.join handles;
   check_bool "sampled while racing" true (!samples > 0);
   (* quiescent invariants *)
-  check_int "no pins left" 0 (Buffer_pool.pinned_frames pool);
   let st = Buffer_pool.stats pool in
   let sum f =
     List.fold_left (fun a cs -> a + f cs) 0 (Buffer_pool.client_stats pool)
@@ -102,8 +90,7 @@ let pool_hammer_rounds seed =
     (sum (fun c -> c.Buffer_pool.cs_misses));
   check_int "evictions aggregate = per-client sum" st.Buffer_pool.evictions
     (sum (fun c -> c.Buffer_pool.cs_evictions));
-  check_bool "occupancy bounded" true
-    (Buffer_pool.occupancy pool <= capacity + st.Buffer_pool.overcommits);
+  check_bool "occupancy bounded" true (Buffer_pool.occupancy pool <= capacity);
   (* draining everything must reconcile without error *)
   Array.iter (fun c -> ignore (Buffer_pool.drain c)) clients;
   true
@@ -173,8 +160,7 @@ let test_threadsafe_byte_identity () =
       st.Pc_pagestore.Io_stats.writes,
       st.Pc_pagestore.Io_stats.cache_hits,
       st.Pc_pagestore.Io_stats.evictions,
-      (pst.Buffer_pool.hits, pst.Buffer_pool.misses, pst.Buffer_pool.evictions,
-       pst.Buffer_pool.write_backs),
+      (pst.Buffer_pool.hits, pst.Buffer_pool.misses, pst.Buffer_pool.evictions),
       Obs.events obs )
   in
   let r1, w1, h1, e1, p1, ev1 = run ~threadsafe:false in

@@ -355,6 +355,28 @@ let test_server_degraded_store () =
         (expect_ok fd "krange 0 100");
       Unix.close fd)
 
+(* krange over the whole store builds a reply of about 1.3 MB, above
+   [Wire.max_frame]: the client gets an error instead, and the session
+   keeps serving. *)
+let test_server_reply_too_large () =
+  let points =
+    List.init 60_000 (fun i ->
+        Point.make ~x:(1_000_000_000 + i) ~y:(2_000_000_000 + i) ~id:i)
+  in
+  let make_store ~name:_ = Shared_store.create ~b:64 points in
+  let t = Server.start ~port:0 ~workers:1 ~make_store () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop t)
+    (fun () ->
+      let fd = connect t in
+      check_bool "open" true
+        (starts_with "ok opened" (expect_ok fd "open big"));
+      check_bool "oversized reply refused" true
+        (starts_with "err reply too large"
+           (expect_ok fd "krange 0 9999999999"));
+      check_string "session survives" "ok pong" (expect_ok fd "ping");
+      Unix.close fd)
+
 let test_server_graceful_drain () =
   let t = Server.start ~port:0 ~workers:2 () in
   let fd = connect t in
@@ -487,6 +509,7 @@ let suite =
     ("server survives vanished client", `Quick, test_server_client_vanishes);
     ("server sheds overload", `Quick, test_server_overload_shed);
     ("server serves degraded store", `Quick, test_server_degraded_store);
+    ("server refuses an oversized reply", `Quick, test_server_reply_too_large);
     ("server drains gracefully", `Quick, test_server_graceful_drain);
     ("superblock A/B fallback", `Quick, test_super_ab_fallback);
     ("superblock legacy upgrade", `Quick, test_super_legacy_upgrade);
