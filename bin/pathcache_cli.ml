@@ -844,59 +844,6 @@ let serve_metrics_cmd =
             (const run_serve_metrics $ port_arg $ n_arg $ b_arg $ qps_arg
              $ data_dir_arg))
 
-(* ----- serve (the session server) ----- *)
-
-let run_serve port workers idle b checkpoint_every =
-  match
-    Pc_server.Server.start ~port ~workers ~idle_timeout:idle ~b
-      ~checkpoint_every ()
-  with
-  | t ->
-      Printf.printf
-        "serving on 127.0.0.1:%d with %d worker domain(s) (wire protocol; \
-         send `shutdown` to stop)\n%!"
-        (Pc_server.Server.port t) workers;
-      let on_signal _ = Pc_server.Server.request_stop t in
-      (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-       with Invalid_argument _ -> ());
-      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-       with Invalid_argument _ -> ());
-      Pc_server.Server.wait t;
-      Printf.printf "stopped after %d session(s)\n%!"
-        (Pc_server.Server.sessions_served t);
-      `Ok ()
-  | exception Unix.Unix_error (err, fn, _) ->
-      `Error (false, Printf.sprintf "serve: %s: %s" fn (Unix.error_message err))
-
-let serve_cmd =
-  let doc =
-    "Serve shared point stores over the length-prefixed wire protocol \
-     (4-byte big-endian length + one-line text payload): open NAME, \
-     insert X Y ID, delete ID, krange LO HI, q3 XL XR YB, stats, close, \
-     shutdown. N worker domains each serve whole sessions, so concurrent \
-     sessions query in parallel (lock-free snapshot reads, one writer \
-     per store). Loopback only."
-  in
-  let port_arg =
-    Arg.(value & opt int 9470 & info [ "port" ] ~docv:"PORT"
-           ~doc:"TCP port on loopback (0 picks an ephemeral port).")
-  in
-  let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains accepting sessions.")
-  in
-  let idle_arg =
-    Arg.(value & opt float 5.0 & info [ "idle-timeout" ] ~docv:"SEC"
-           ~doc:"Drop connections silent this long.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int 512 & info [ "checkpoint-every" ] ~docv:"K"
-           ~doc:"Overlay size that triggers a store rebuild.")
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(ret (const run_serve $ port_arg $ workers_arg $ idle_arg $ b_arg
-               $ ckpt_arg))
-
 (* ----- check ----- *)
 
 (* A concurrent-history repro re-checks the recorded history: the
@@ -1098,6 +1045,5 @@ let () =
             profile_cmd;
             advise_cmd;
             serve_metrics_cmd;
-            serve_cmd;
             check_cmd;
           ]))

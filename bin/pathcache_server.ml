@@ -1,8 +1,6 @@
-(* Standalone session server: N worker domains serving shared stores
-   over the length-prefixed wire protocol (see Pc_server.Server for the
-   request grammar). The CLI subcommand `pathcache_cli serve` wraps the
-   same engine; this binary exists for deployments that want the server
-   without the workbench.
+(* The session server: N worker domains serving shared stores over the
+   length-prefixed wire protocol (see Pc_server.Server for the request
+   grammar). This binary is its only command-line entry point.
 
    Runs until SIGINT/SIGTERM or a client's `shutdown` verb. *)
 

@@ -1,6 +1,5 @@
 let magic = "PCJR"
 let wal_path ~dir = Filename.concat dir "wal.log"
-let super_path ~dir = Filename.concat dir "super"
 let super_a_path ~dir = Filename.concat dir "super.a"
 let super_b_path ~dir = Filename.concat dir "super.b"
 
@@ -95,30 +94,13 @@ let scan_slot path =
             ( Int64.to_int (Bytes.get_int64_le p 0),
               Bytes.sub p 8 (Bytes.length p - 8) ))
 
-(* Newest valid superblock across both mirror slots and the legacy
-   single-slot file (which reads as epoch 0, so any mirrored write
-   supersedes it). *)
+(* Newest valid superblock across the two mirror slots; on an epoch tie
+   slot A wins. *)
 let best_super ~dir =
-  let legacy =
-    match read_file (super_path ~dir) with
-    | None -> None
-    | Some b -> (
-        match scan_one b 0 with
-        | None -> None
-        | Some (p, _) -> Some (0, None, p))
-  in
-  let slot tag path =
-    match scan_slot path with
-    | None -> None
-    | Some (e, p) -> Some (e, Some tag, p)
-  in
-  List.fold_left
-    (fun best cand ->
-      match (best, cand) with
-      | None, c | c, None -> c
-      | Some (be, _, _), Some (ce, _, _) -> if ce > be then cand else best)
-    None
-    [ legacy; slot `A (super_a_path ~dir); slot `B (super_b_path ~dir) ]
+  let slot tag path = Option.map (fun (e, p) -> (e, tag, p)) (scan_slot path) in
+  match (slot `A (super_a_path ~dir), slot `B (super_b_path ~dir)) with
+  | None, c | c, None -> c
+  | (Some (ea, _, _) as a), (Some (eb, _, _) as b) -> if eb > ea then b else a
 
 let open_dir ~dir =
   oserr (fun () -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755) "mkdir";
@@ -131,7 +113,7 @@ let open_dir ~dir =
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
   let epoch, cur_slot =
     match best_super ~dir with
-    | Some (e, slot, _) -> (e, slot)
+    | Some (e, slot, _) -> (e, Some slot)
     | None -> (0, None)
   in
   { t_dir = dir; fd; torn_tail = None; epoch; cur_slot; closed = false }
@@ -183,9 +165,9 @@ let sync t =
 (* A/B mirrored superblock: each write stamps the next epoch and lands
    in-place on the slot NOT holding the newest valid superblock, so at
    every instant — including mid-write and mid-crash — at least one slot
-   (or the legacy file) carries a whole, checksummed superblock. Picking
-   the winner is {!best_super}'s highest-valid-epoch rule; no rename
-   window, no instant with zero readable superblocks. *)
+   carries a whole, checksummed superblock. Picking the winner is
+   {!best_super}'s highest-valid-epoch rule; no rename window, no instant
+   with zero readable superblocks. *)
 let write_super t payload =
   check t "write_super";
   let epoch = t.epoch + 1 in

@@ -14,11 +14,9 @@
       superblock, then fsyncs; {!read} picks the highest-epoch slot
       whose CRC verifies. A crash at any instant of the swap therefore
       leaves at least one whole superblock readable — there is no
-      rename window. Directories written before the mirror existed keep
-      working: the legacy single-slot [super] file reads as epoch 0 and
-      any mirrored write supersedes it. {!write_super} also truncates
-      [wal.log]: a new superblock obsoletes the journal, which is
-      exactly the checkpoint contract.
+      rename window. {!write_super} also truncates [wal.log]: a new
+      superblock obsoletes the journal, which is exactly the checkpoint
+      contract.
 
     {!append_torn} deliberately writes only the first half of a record's
     bytes, emulating a crash mid-append; the next {!append} first
@@ -46,10 +44,6 @@ val read : dir:string -> bytes list * bytes option
     missing or corrupt superblock reads as [None]. *)
 
 val wal_path : dir:string -> string
-
-val super_path : dir:string -> string
-(** The legacy single-slot location — still read (as epoch 0), never
-    written. *)
 
 val super_a_path : dir:string -> string
 val super_b_path : dir:string -> string

@@ -99,11 +99,6 @@ let create pager =
       t.root <- alloc_node t (LeafN { next = -1; kvs = [||] }));
   t
 
-let create_in ?cache_capacity ?pool ?obs ?durability ~b () =
-  create
-    (Pager.create ?cache_capacity ?pool ?obs ?wal:durability ~obs_name:"btree"
-       ~page_capacity:b ())
-
 let obs t = Pager.obs t.pager
 let with_span t ~kind f = Pc_obs.Obs.with_span (obs t) ~kind f
 

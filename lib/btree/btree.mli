@@ -37,25 +37,16 @@ val create : cell Pager.t -> t
     [Invalid_argument] if the input is not sorted. *)
 val bulk_load : cell Pager.t -> (int * int) list -> t
 
-(** [create_in ~b ()] and [bulk_load_in ~b entries] allocate the pager
-    internally, with an optional private cache ([cache_capacity]), a
-    shared buffer pool ([pool]), and an optional trace handle ([obs]) —
-    see {!Pc_pagestore.Pager.create}.
+(** [bulk_load_in ~b entries] allocates the pager internally, with an
+    optional private cache ([cache_capacity]), a shared buffer pool
+    ([pool]), and an optional trace handle ([obs]) — see
+    {!Pc_pagestore.Pager.create}.
 
     [durability] enrolls the pager in a write-ahead journal: every
     mutating entry point then runs as one {!Pc_pagestore.Wal}
     transaction (build, insert, delete), carrying the tree's scalar
     state in the commit record, and {!recover} can rebuild the tree
     from a crash image alone. *)
-val create_in :
-  ?cache_capacity:int ->
-  ?pool:Pc_bufferpool.Buffer_pool.t ->
-  ?obs:Pc_obs.Obs.t ->
-  ?durability:Pc_pagestore.Wal.t ->
-  b:int ->
-  unit ->
-  t
-
 val bulk_load_in :
   ?cache_capacity:int ->
   ?pool:Pc_bufferpool.Buffer_pool.t ->
@@ -114,10 +105,11 @@ val codec : cell Pc_blockdev.Page_codec.t
     sector multiple). *)
 val page_bytes : b:int -> int
 
-(** [create_file ~dir ~b ()] / [bulk_load_file ~dir ~b entries] are
-    {!create_in} / {!bulk_load_in} with every page on disk under [dir]
-    and the journal durable. The tree is always durable (the file
-    backend without a journal would not survive a crash anyway).
+(** [create_file ~dir ~b ()] makes an empty tree and
+    [bulk_load_file ~dir ~b entries] is {!bulk_load_in}, with every page
+    on disk under [dir] and the journal durable. The tree is always
+    durable (the file backend without a journal would not survive a
+    crash anyway).
     [wrap_dev] interposes on the page device before the pager sees it —
     the chaos sweep lays a {!Pc_blockdev.Flaky_dev} over it; the journal
     file is not wrapped (its faults are injected at the [Wal.store]

@@ -6,9 +6,8 @@ type stats = {
 type frame = { f_owner : int; f_page : int }
 
 (* Per-owner events not yet observed by the owning client. The pool holds
-   no callbacks into its clients (closures would make pools — and the
-   pagers embedding them — non-persistable); instead clients {!drain}
-   pending events at the start of each of their own operations. *)
+   no callbacks into its clients; instead clients {!drain} pending events
+   at the start of each of their own operations. *)
 type pending = {
   mutable p_drops : int list; (* evicted pages the owner must forget *)
   p_obs : Pc_obs.Obs.source option;
@@ -107,8 +106,6 @@ let obs_emit p kind ~page =
   match p.p_obs with
   | None -> ()
   | Some src -> Pc_obs.Obs.emit src kind ~page
-
-let pool_of c = c.pool
 
 (* Unlocked: callers hold the pool lock (or run on the fast path). *)
 let pending_of c = Hashtbl.find c.pool.owners c.owner
@@ -223,8 +220,6 @@ let client_stats t =
                cs_misses = Atomic.get p.c_misses;
                cs_evictions = Atomic.get p.c_evictions;
              }))
-
-let client_name c = locked c.pool (fun () -> (pending_of c).p_name)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                     *)

@@ -14,10 +14,8 @@
     residency and the replacement policy. When the pool evicts a frame,
     the owning client learns about it by {!drain}ing its pending events
     at the start of its next operation (lazy invalidation — the pool
-    holds no callbacks into clients, which also keeps pools free of
-    closures and therefore persistable by {!Pc_pagestore.Persist} for
-    every built-in policy). This is the classic split between a buffer
-    manager and its page owners.
+    holds no callbacks into clients). This is the classic split between
+    a buffer manager and its page owners.
 
     The cache is write-through: its clients charge every page write as
     one I/O when it happens, so a frame is never dirty and an eviction
@@ -75,10 +73,6 @@ val reset_stats : t -> unit
     {e owning} client's source. [name] labels the client in
     {!client_stats} and metrics export (default ["client<i>"]). *)
 val register : ?obs:Pc_obs.Obs.source -> ?name:string -> t -> client
-
-val client_name : client -> string
-
-val pool_of : client -> t
 
 (** [drain c] returns and clears the pages of [c] the pool evicted since
     the last drain, oldest first; the client must drop its copies of

@@ -301,9 +301,8 @@ let of_string = function
 
 let pp ppf p = Format.pp_print_string ppf (name p)
 
-(* Policy state is a concrete variant rather than a first-class module
-   so that a pool (and the pagers embedding one) stays free of closures
-   and remains Marshal-able by {!Pc_pagestore.Persist}. *)
+(* Policy state is a concrete variant rather than a first-class module:
+   the pool dispatches on it with one match and holds no closures. *)
 type state =
   | Lru_st of Lru_policy.t
   | Fifo_st of Fifo_policy.t

@@ -70,8 +70,7 @@ val of_string : string -> policy option
 val pp : Format.formatter -> policy -> unit
 
 (** Policy state as stored by the pool. Each constructor holds pure
-    data, so a pool embedded in a pager survives
-    {!Pc_pagestore.Persist}'s [Marshal]. *)
+    data. *)
 type state =
   | Lru_st of Lru_policy.t
   | Fifo_st of Fifo_policy.t

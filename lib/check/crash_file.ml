@@ -52,10 +52,9 @@ let pp_report ppf r =
 
 (* ---- raw directory snapshots ---------------------------------------- *)
 
-(* The superblock is A/B mirrored (plus the legacy single-slot file),
-   so a snapshot carries all three files opaquely. *)
+(* The superblock is A/B mirrored, so a snapshot carries both slot files
+   opaquely. *)
 type supersnap = {
-  ss_legacy : string option;
   ss_a : string option;
   ss_b : string option;
 }
@@ -79,7 +78,6 @@ let snap ~dir =
     s_wal = Option.value ~default:"" (read_opt (Wf.wal_path ~dir));
     s_super =
       {
-        ss_legacy = read_opt (Wf.super_path ~dir);
         ss_a = read_opt (Wf.super_a_path ~dir);
         ss_b = read_opt (Wf.super_b_path ~dir);
       };
@@ -104,7 +102,6 @@ let write_image ~dir ~wal ~super ~pages =
   rm_rf dir;
   Unix.mkdir dir 0o755;
   write_file (Wf.wal_path ~dir) wal;
-  Option.iter (write_file (Wf.super_path ~dir)) super.ss_legacy;
   Option.iter (write_file (Wf.super_a_path ~dir)) super.ss_a;
   Option.iter (write_file (Wf.super_b_path ~dir)) super.ss_b;
   Option.iter (write_file (Ds.pages_path ~dir ~idx:0)) pages

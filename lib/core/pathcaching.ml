@@ -4,7 +4,7 @@
     Umbrella module of the library. The paper's contribution — the
     path-caching transformation and the structures built with it — lives
     in the [Ext_*] modules; the substrates (simulated disk, B+-tree,
-    in-core classics) are exposed for reuse and benchmarking; the two
+    brute-force oracle) are exposed for reuse and benchmarking; the two
     motivating database reductions of §1 are {!Stabbing} (dynamic interval
     management) and {!Class_index} (OODB class-hierarchy indexing).
 
@@ -20,8 +20,8 @@
       bounds as checkable data, a Prometheus/JSON metrics registry, and
       the benchmark regression gate consuming both
     - {!Btree}: external B+-tree (1-D optimal baseline, §1)
-    - {!Pst}, {!Treap_pst}, {!Segment_tree}, {!Interval_tree}, {!Avl}:
-      in-core classics (oracles and building blocks)
+    - {!Oracle}: brute-force scans that the tests and the differential
+      checker compare every structure against
 
     {1 Path-cached external structures}
     - {!Ext_pst}: 2-sided queries — [IKO] baseline, Lemma 3.1, Theorems
@@ -57,13 +57,7 @@ module Fault_plan = Pc_pagestore.Fault_plan
 module Blocked_list = Pc_pagestore.Blocked_list
 module Io_stats = Pc_pagestore.Io_stats
 module Query_stats = Pc_pagestore.Query_stats
-module Persist = Pc_pagestore.Persist
 module Btree = Pc_btree.Btree
-module Avl = Pc_inmem.Avl
-module Pst = Pc_inmem.Pst
-module Treap_pst = Pc_inmem.Treap_pst
-module Segment_tree = Pc_inmem.Segment_tree
-module Interval_tree = Pc_inmem.Interval_tree
 module Oracle = Pc_inmem.Oracle
 module Region_tree = Pc_extpst.Region_tree
 module Ext_pst = Pc_extpst.Ext_pst

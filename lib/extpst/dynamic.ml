@@ -918,9 +918,6 @@ let reset_io_stats t =
   Pager.reset_stats t.pager;
   Pager.reset_stats t.sub_pager
 
-let pending_updates t =
-  Array.fold_left (fun acc (blk : block) -> acc + List.length blk.buffer) 0 t.blocks
-
 let rebuilds t = (t.global_rebuilds, t.sub_rebuilds)
 
 

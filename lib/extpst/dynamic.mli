@@ -100,10 +100,6 @@ val total_ios : t -> int
 
 val reset_io_stats : t -> unit
 
-(** [pending_updates t] is the number of buffered operations not yet
-    applied to region lists (for tests and introspection). *)
-val pending_updates : t -> int
-
 (** [rebuilds t] is [(global, second_level)] rebuild counts. *)
 val rebuilds : t -> int * int
 

@@ -389,7 +389,6 @@ let io_stats t =
   a.allocs <- a.allocs + b.allocs;
   a.frees <- a.frees + b.frees;
   a.evictions <- a.evictions + b.evictions;
-  a.write_backs <- a.write_backs + b.write_backs;
   a
 
 let reset_io_stats t =

@@ -203,37 +203,6 @@ let pp_profiles ppf ps =
       end)
     ps
 
-let profiles_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"profiles\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"source\": %S, \"reads\": %d, \"hits\": %d, \"distinct\": \
-            %d, \"working_set\": %d, \"working_set_peak\": %d, \"levels\": ["
-           p.p_source p.p_reads p.p_hits p.p_distinct p.p_ws_current
-           p.p_ws_peak);
-      List.iteri
-        (fun j lv ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "{\"depth\": %d, \"hits\": %d, \"misses\": %d}"
-               lv.lv_depth lv.lv_hits lv.lv_misses))
-        p.p_levels;
-      Buffer.add_string buf "], \"hot_pages\": [";
-      List.iteri
-        (fun j (page, n) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Printf.sprintf "{\"page\": %d, \"touches\": %d}" page n))
-        p.p_hot;
-      Buffer.add_string buf "]}")
-    (profiles t);
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* The advisor                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -80,7 +80,6 @@ val profiles : t -> profile list
 val working_set : t -> int -> int
 
 val pp_profiles : Format.formatter -> profile list -> unit
-val profiles_json : t -> string
 
 (** {1 The advisor} *)
 

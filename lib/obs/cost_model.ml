@@ -221,14 +221,6 @@ module Conformance = struct
       within = ratio <= 1.0;
     }
 
-  let pp_verdict ppf v =
-    Format.fprintf ppf
-      "%s [%s]: measured=%d predicted=%.1f ratio=%.2f %s (n=%d b=%d t=%d)"
-      (name v.structure) (query_bound v.structure).theorem v.measured
-      v.predicted v.ratio
-      (if v.within then "ok" else "VIOLATION")
-      v.n v.b v.t_out
-
   (* Worst verdict per structure, plus global counters. *)
   type summary = {
     mutable verdicts : (string * verdict) list; (* name -> worst *)

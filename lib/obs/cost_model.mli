@@ -91,8 +91,6 @@ module Conformance : sig
       [predicted_query_ios s]. *)
   val check : structure -> n:int -> b:int -> t:int -> measured:int -> verdict
 
-  val pp_verdict : Format.formatter -> verdict -> unit
-
   (** Accumulates verdicts and keeps the worst (highest-ratio) one per
       structure. *)
   type summary

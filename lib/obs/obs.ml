@@ -49,8 +49,6 @@ type kind =
   | Free
   | Cache_hit
   | Evict
-  | Write_back
-  | Pin
   | Fault
   | Retry
   | Give_up
@@ -78,8 +76,6 @@ let kind_name = function
   | Free -> "free"
   | Cache_hit -> "cache_hit"
   | Evict -> "evict"
-  | Write_back -> "write_back"
-  | Pin -> "pin"
   | Fault -> "fault"
   | Retry -> "retry"
   | Give_up -> "give_up"
@@ -97,8 +93,6 @@ let kind_of_name = function
   | "free" -> Some Free
   | "cache_hit" -> Some Cache_hit
   | "evict" -> Some Evict
-  | "write_back" -> Some Write_back
-  | "pin" -> Some Pin
   | "fault" -> Some Fault
   | "retry" -> Some Retry
   | "give_up" -> Some Give_up
@@ -381,7 +375,6 @@ let register t ~name =
   t.sources <- (sid, name) :: t.sources;
   { o = t; sid }
 
-let source_id s = s.sid
 let source_name t sid = List.assoc_opt sid t.sources
 
 let push t e =
@@ -599,16 +592,13 @@ type totals = {
   t_allocs : int;
   t_frees : int;
   t_evictions : int;
-  t_write_backs : int;
   t_spans : int;
   t_events : int;
   t_wall_ns : int;
   t_phase_ns : (string * int) list;
 }
 
-(* Replay a JSONL trace back into I/O totals. A [Write_back], which only
-   traces from write-back pools carry, is a deferred write being
-   charged, so it counts into [t_writes] too. Events carrying [wall_ns]
+(* Replay a JSONL trace back into I/O totals. Events carrying [wall_ns]
    (v2 traces) additionally contribute a wall-clock extent and
    per-category phase sums; v1 tick-only traces yield zeros. *)
 let replay_file path =
@@ -621,7 +611,6 @@ let replay_file path =
         t_allocs = 0;
         t_frees = 0;
         t_evictions = 0;
-        t_write_backs = 0;
         t_spans = 0;
         t_events = 0;
         t_wall_ns = 0;
@@ -643,12 +632,6 @@ let replay_file path =
         | Write | Journal_write | Checkpoint ->
             (* durability writes are device writes, mirroring Io_stats *)
             { a with t_writes = a.t_writes + 1 }
-        | Write_back ->
-            {
-              a with
-              t_write_backs = a.t_write_backs + 1;
-              t_writes = a.t_writes + 1;
-            }
         | Cache_hit -> { a with t_cache_hits = a.t_cache_hits + 1 }
         | Alloc -> { a with t_allocs = a.t_allocs + 1 }
         | Free -> { a with t_frees = a.t_frees + 1 }
@@ -657,7 +640,7 @@ let replay_file path =
         | Phase ->
             tbl_add phases (phase_category e.label) (phase_ns e);
             a
-        | Pin | Fault | Retry | Give_up | Corrupt | Span_end -> a);
+        | Fault | Retry | Give_up | Corrupt | Span_end -> a);
   let t_wall_ns = if !wall_max >= !wall_min then !wall_max - !wall_min else 0 in
   let t_phase_ns =
     List.filter_map
@@ -681,9 +664,9 @@ let ns_string ns = Format.asprintf "%a" pp_ns ns
 let pp_totals ppf t =
   Format.fprintf ppf
     "{events=%d; reads=%d; writes=%d; hits=%d; allocs=%d; frees=%d; \
-     evictions=%d; write_backs=%d; spans=%d}"
+     evictions=%d; spans=%d}"
     t.t_events t.t_reads t.t_writes t.t_cache_hits t.t_allocs t.t_frees
-    t.t_evictions t.t_write_backs t.t_spans;
+    t.t_evictions t.t_spans;
   (* wall-clock lines only when the trace carries wall_ns stamps, so v1
      tick-only traces print exactly as before *)
   if t.t_wall_ns > 0 || t.t_phase_ns <> [] then begin
@@ -860,11 +843,9 @@ module Profile = struct
         let n = snode_of t (child_key t e.label) in
         n.sn_value <- n.sn_value + ns;
         n.sn_count <- n.sn_count + 1
-    | Read | Write | Write_back | Journal_write | Checkpoint ->
+    | Read | Write | Journal_write | Checkpoint ->
         List.iter (fun os -> os.os_ios <- os.os_ios + 1) t.open_spans
-    | Alloc | Free | Cache_hit | Evict | Pin | Fault | Retry | Give_up | Corrupt
-      ->
-        ()
+    | Alloc | Free | Cache_hit | Evict | Fault | Retry | Give_up | Corrupt -> ()
 
   let observe t e = fold ~on_close:(fun _ _ -> ()) t e
 

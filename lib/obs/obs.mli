@@ -55,13 +55,6 @@ type kind =
   | Free  (** page released *)
   | Cache_hit  (** access absorbed by the buffer pool *)
   | Evict  (** frame pushed out of the buffer pool *)
-  | Write_back
-      (** deferred write charged at eviction or flush. The pool is
-          write-through and never emits it; it is still decoded so that
-          traces from write-back pools replay, counting into [writes] *)
-  | Pin
-      (** frame pinned resident. Never emitted (the pool has no pins);
-          still decoded so that older traces read back *)
   | Fault
       (** a failed transfer attempt — a {!Pc_pagestore.Fault_plan}
           injection or a device error — one event per attempt, tagged
@@ -227,7 +220,6 @@ type source
 (** [register t ~name] allocates the next source id. *)
 val register : t -> name:string -> source
 
-val source_id : source -> int
 val source_name : t -> int -> string option
 
 (** [emit src kind ~page] appends one event, stamping the next tick (and
@@ -290,13 +282,12 @@ val iter_file : string -> (event -> unit) -> unit
 type totals = {
   t_reads : int;
   t_writes : int;
-      (** device writes, as {!Pc_pagestore.Io_stats.writes}, plus any
-          [Write_back] events *)
+      (** device writes, as {!Pc_pagestore.Io_stats.writes}: [Write],
+          [Journal_write] and [Checkpoint] events *)
   t_cache_hits : int;
   t_allocs : int;
   t_frees : int;
   t_evictions : int;
-  t_write_backs : int;
   t_spans : int;  (** number of [Span_begin] events *)
   t_events : int;  (** total events parsed *)
   t_wall_ns : int;
@@ -330,7 +321,7 @@ module Profile : sig
   type row = {
     label : string;  (** span label, e.g. ["query.2sided"] *)
     count : int;  (** spans closed with this label *)
-    total_ios : int;  (** reads + writes (incl. write-backs) inside them *)
+    total_ios : int;  (** reads + writes inside them *)
     mean : float;  (** [total_ios / count] *)
     p99 : int;  (** per-span I/O p99 (log-bucketed) *)
     max : int;  (** worst single span *)

@@ -123,8 +123,6 @@ let hit_ratio m c =
   if m.m_accesses = 0 then 0.
   else float_of_int (hits_at m c) /. float_of_int m.m_accesses
 
-let miss_ratio m c = 1. -. hit_ratio m c
-
 (* ------------------------------------------------------------------ *)
 (* The profiler                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -135,7 +133,6 @@ type src_state = {
   mutable max_d : int; (* largest finite distance seen, -1 if none *)
   mutable s_cold : int;
   mutable s_reads : int;
-  mutable s_writes : int;
 }
 
 type t = {
@@ -156,7 +153,6 @@ let state t src =
           max_d = -1;
           s_cold = 0;
           s_reads = 0;
-          s_writes = 0;
         }
       in
       Hashtbl.replace t.srcs src s;
@@ -175,18 +171,15 @@ let record_read s page =
       s.hist.(d) <- s.hist.(d) + 1;
       if d > s.max_d then s.max_d <- d
 
-let record_write s page =
-  s.s_writes <- s.s_writes + 1;
-  ignore (Stack.access s.stack page)
+let record_write s page = ignore (Stack.access s.stack page)
 
 let observe t (e : Obs.event) =
   match e.Obs.kind with
   | Obs.Read | Obs.Cache_hit -> record_read (state t e.Obs.src) e.Obs.page
   | Obs.Write | Obs.Alloc -> record_write (state t e.Obs.src) e.Obs.page
   | Obs.Free -> Stack.forget (state t e.Obs.src).stack e.Obs.page
-  | Obs.Evict | Obs.Write_back | Obs.Pin | Obs.Fault | Obs.Retry | Obs.Give_up
-  | Obs.Journal_write | Obs.Checkpoint | Obs.Corrupt | Obs.Phase
-  | Obs.Span_begin | Obs.Span_end ->
+  | Obs.Evict | Obs.Fault | Obs.Retry | Obs.Give_up | Obs.Journal_write
+  | Obs.Checkpoint | Obs.Corrupt | Obs.Phase | Obs.Span_begin | Obs.Span_end ->
       ()
 
 let sink t = Obs.custom (observe t)
@@ -225,9 +218,6 @@ let mrcs t =
   List.filter_map (fun (i, name) ->
       Option.map (fun m -> (name, m)) (mrc t i))
     (sources t)
-
-let write_refs t src =
-  match Hashtbl.find_opt t.srcs src with Some s -> s.s_writes | None -> 0
 
 let reset t = Hashtbl.reset t.srcs
 

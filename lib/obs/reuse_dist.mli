@@ -83,11 +83,8 @@ val distinct : mrc -> int
     curve is flat above {!flat_at}. *)
 val hits_at : mrc -> int -> int
 
-(** [hit_ratio m c] = [hits_at m c / accesses] (0 on an empty curve);
-    [miss_ratio] is its complement. *)
+(** [hit_ratio m c] = [hits_at m c / accesses] (0 on an empty curve). *)
 val hit_ratio : mrc -> int -> float
-
-val miss_ratio : mrc -> int -> float
 
 (** The smallest capacity at which the curve flattens (max finite
     distance + 1): larger caches absorb nothing more. *)
@@ -122,10 +119,6 @@ val mrc : t -> int -> mrc option
 
 (** All per-source curves, [(name, mrc)] in source-id order. *)
 val mrcs : t -> (string * mrc) list
-
-(** Write references ([Write]/[Alloc]) folded into [src]'s stack — they
-    shape the curve but are not part of {!accesses}. *)
-val write_refs : t -> int -> int
 
 (** [reset t] clears histograms and stacks (a cold restart, matching a
     dropped cache). *)

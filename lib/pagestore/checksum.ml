@@ -56,15 +56,6 @@ let payload (p : Obj.t array option) : int64 =
       Array.iter (fun c -> h := fp max_depth !h c) arr;
       !h
 
-(** FNV-1a over a raw byte range — the real-CRC case, used by
-    {!Persist} where the payload genuinely is a byte image. *)
-let bytes (b : Bytes.t) ~pos ~len : int64 =
-  let h = ref (mix fnv_offset len) in
-  for i = pos to pos + len - 1 do
-    h := mix !h (Char.code (Bytes.get b i))
-  done;
-  !h
-
 (** An intentionally-invalid sibling of [c] — used to model a record
     whose transfer was interrupted mid-write. *)
 let spoil (c : int64) : int64 = Int64.logxor c 0x5A5A5A5AL

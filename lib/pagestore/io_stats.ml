@@ -5,7 +5,6 @@ type t = {
   mutable allocs : int;
   mutable frees : int;
   mutable evictions : int;
-  mutable write_backs : int;
   mutable retries : int;
 }
 
@@ -17,7 +16,6 @@ let create () =
     allocs = 0;
     frees = 0;
     evictions = 0;
-    write_backs = 0;
     retries = 0;
   }
 
@@ -28,7 +26,6 @@ let reset t =
   t.allocs <- 0;
   t.frees <- 0;
   t.evictions <- 0;
-  t.write_backs <- 0;
   t.retries <- 0
 
 let total t = t.reads + t.writes
@@ -41,7 +38,6 @@ let snapshot t =
     allocs = t.allocs;
     frees = t.frees;
     evictions = t.evictions;
-    write_backs = t.write_backs;
     retries = t.retries;
   }
 
@@ -53,15 +49,13 @@ let diff ~after ~before =
     allocs = after.allocs - before.allocs;
     frees = after.frees - before.frees;
     evictions = after.evictions - before.evictions;
-    write_backs = after.write_backs - before.write_backs;
     retries = after.retries - before.retries;
   }
 
 let pp ppf t =
   Format.fprintf ppf
-    "{reads=%d; writes=%d; hits=%d; allocs=%d; frees=%d; evictions=%d; \
-     write_backs=%d}"
-    t.reads t.writes t.cache_hits t.allocs t.frees t.evictions t.write_backs;
+    "{reads=%d; writes=%d; hits=%d; allocs=%d; frees=%d; evictions=%d}"
+    t.reads t.writes t.cache_hits t.allocs t.frees t.evictions;
   if t.retries > 0 then Format.fprintf ppf " retries=%d" t.retries
 
 let to_args t =
@@ -72,50 +66,5 @@ let to_args t =
     ("allocs", t.allocs);
     ("frees", t.frees);
     ("evictions", t.evictions);
-    ("write_backs", t.write_backs);
   ]
   @ (if t.retries > 0 then [ ("retries", t.retries) ] else [])
-
-let to_json t =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) (to_args t))
-  ^ "}"
-
-(* Extract ["key":123] from a flat JSON object — the inverse of the
-   hand-rolled [to_json] emitters, strict enough to reject lines that
-   they did not write. *)
-let json_int_field s key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and slen = String.length s in
-  let rec find i =
-    if i + plen > slen then None
-    else if String.sub s i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < slen
-        && (match s.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub s start (!stop - start))
-
-let of_json s =
-  let ( let* ) = Option.bind in
-  let* reads = json_int_field s "reads" in
-  let* writes = json_int_field s "writes" in
-  let* cache_hits = json_int_field s "cache_hits" in
-  let* allocs = json_int_field s "allocs" in
-  let* frees = json_int_field s "frees" in
-  let* evictions = json_int_field s "evictions" in
-  let* write_backs = json_int_field s "write_backs" in
-  let retries = Option.value (json_int_field s "retries") ~default:0 in
-  Some
-    { reads; writes; cache_hits; allocs; frees; evictions; write_backs;
-      retries }

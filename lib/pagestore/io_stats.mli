@@ -7,17 +7,15 @@
 
     [evictions] counts this pager's frames pushed out of its buffer pool
     (by any pool client — with a shared {!Pc_bufferpool.Buffer_pool} the
-    evictor may be another pager drawing on the same budget). The pool
-    is write-through, so [write_backs] is always 0; the field stays so
-    that {!pp}, {!to_args} and the JSON round-trip keep their format.
+    evictor may be another pager drawing on the same budget).
 
     [retries] counts the reissues of transfers that hit transient errors
     (a {!Pc_pagestore.Fault_plan.Transient} burst, or a device error
     under an installed {!Pc_pagestore.Retry_policy}), whether the
     transfer finally succeeded or gave up. Each reissue of a read or
     write is also charged as one, so [retries] measures redundant
-    transfers, not extra cost. It is zero — and omitted from {!to_args} /
-    {!to_json}, keeping fault-free output byte-identical — unless
+    transfers, not extra cost. It is zero — and omitted from {!pp} and
+    {!to_args}, keeping fault-free output byte-identical — unless
     transient faults were injected. *)
 
 type t = {
@@ -27,7 +25,6 @@ type t = {
   mutable allocs : int;
   mutable frees : int;
   mutable evictions : int;
-  mutable write_backs : int;
   mutable retries : int;
 }
 
@@ -49,16 +46,3 @@ val pp : Format.formatter -> t -> unit
 (** [to_args t] lists every counter as a [(name, value)] pair — the
     payload attached to closing trace spans (see {!Pc_obs.Obs.event}). *)
 val to_args : t -> (string * int) list
-
-(** [to_json t] is a flat JSON object of all counters, as consumed by the
-    trace and benchmark exporters. *)
-val to_json : t -> string
-
-(** [of_json s] parses a {!to_json} object back; [None] if any counter
-    field is missing or malformed. Round-trips with [to_json] (used by
-    [bench-diff] to read committed baselines). *)
-val of_json : string -> t option
-
-(** [json_int_field s key] extracts [{"key":123}]-style integer fields
-    from flat hand-rolled JSON — shared by the baseline parsers. *)
-val json_int_field : string -> string -> int option

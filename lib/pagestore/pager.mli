@@ -68,15 +68,13 @@ type 'a backend = {
     an event source (named [obs_name], default ["pager"]) and emits a
     trace event at every counter site — see {!Pc_obs.Obs}. Absent (the
     default), tracing code is a no-op and I/O counts are byte-identical
-    to an uninstrumented pager. A pager carrying an [obs] handle cannot
-    be persisted with {!Persist} (the sink holds closures).
+    to an uninstrumented pager.
 
     [wal] enrolls the pager in a write-ahead journal (see {!Wal} and
     DESIGN.md §12): every mutation must then happen inside
     {!Wal.with_txn}, reads verify page checksums, and the whole
-    structure becomes crash-recoverable. A durable pager also holds
-    closures and cannot be persisted with {!Persist}. Without [wal]
-    nothing changes — I/O counts are byte-identical to older trees. *)
+    structure becomes crash-recoverable. Without [wal] nothing changes —
+    I/O counts are byte-identical to older trees. *)
 val create :
   ?cache_capacity:int ->
   ?pool:Buffer_pool.t ->

@@ -37,20 +37,3 @@ let to_args t =
     ("reported_raw", t.reported_raw);
     ("total", total t);
   ]
-
-let to_json t =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) (to_args t))
-  ^ "}"
-
-(* Inverse of [to_json]; the derived "total" field is ignored (it is
-   recomputed from the parts). *)
-let of_json s =
-  let ( let* ) = Option.bind in
-  let* skeletal_reads = Io_stats.json_int_field s "skeletal_reads" in
-  let* data_reads = Io_stats.json_int_field s "data_reads" in
-  let* cache_reads = Io_stats.json_int_field s "cache_reads" in
-  let* wasteful_reads = Io_stats.json_int_field s "wasteful_reads" in
-  let* reported_raw = Io_stats.json_int_field s "reported_raw" in
-  Some { skeletal_reads; data_reads; cache_reads; wasteful_reads; reported_raw }

@@ -27,11 +27,3 @@ val pp : Format.formatter -> t -> unit
     [(name, value)] pairs — the payload attached to closing trace spans
     (see {!Pc_obs.Obs.with_span}). *)
 val to_args : t -> (string * int) list
-
-(** [to_json t] is a flat JSON object of {!to_args}. *)
-val to_json : t -> string
-
-(** [of_json s] parses a {!to_json} object back; [None] if any counter
-    field is missing or malformed. The derived ["total"] field is
-    ignored and recomputed. *)
-val of_json : string -> t option

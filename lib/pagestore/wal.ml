@@ -585,4 +585,4 @@ let recovered_equal a b =
   && a.r_next = b.r_next
   && a.r_damaged = b.r_damaged
   && pages a.r_pages = pages b.r_pages
-  && Io_stats.to_json a.r_stats = Io_stats.to_json b.r_stats
+  && a.r_stats = b.r_stats

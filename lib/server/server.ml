@@ -6,9 +6,10 @@
    workers poll the same non-blocking listening socket ([select] with a
    short timeout so the stop flag is honored promptly); whoever's
    [accept] wins serves that session to completion. Sessions are
-   plain request/reply over {!Wire} frames with a receive timeout, so
-   an idle or half-open client costs one worker at most
-   [idle_timeout] seconds — the serve-metrics lesson.
+   plain request/reply over {!Wire} frames with a receive and a send
+   timeout, so a client that neither sends a request nor accepts reply
+   bytes (idle, half-open, or no longer reading) costs one worker at
+   most [idle_timeout] seconds — the serve-metrics lesson.
 
    Queries run on whichever worker domain holds the session;
    Shared_store readers are lock-free, so K sessions on K workers
@@ -227,11 +228,15 @@ let eval t session req =
 
 let serve_session t fd =
   Atomic.incr t.sessions;
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.idle_timeout
-   with Unix.Unix_error _ -> ());
+  List.iter
+    (fun opt ->
+      try Unix.setsockopt_float fd opt t.idle_timeout
+      with Unix.Unix_error _ -> ())
+    [ Unix.SO_RCVTIMEO; Unix.SO_SNDTIMEO ];
   let session = { current = None } in
   (* A failed reply means the client is gone (EPIPE/ECONNRESET on a
-     disconnect between request and reply, or any other socket error):
+     disconnect between request and reply, EAGAIN once a write has made
+     no progress for [idle_timeout], or any other socket error):
      report it so the loop drops just this session — the worker domain
      must never die for a vanished peer. A reply that does not fit in one
      frame is replaced by an error naming its size, and the session goes

@@ -28,8 +28,10 @@
 
     {b Fault handling} (DESIGN.md §15): a request never kills more than
     itself. A client that disconnects between request and reply costs
-    only its session (EPIPE/ECONNRESET on the reply are absorbed); an
-    exception escaping evaluation becomes [err internal ...]; a store
+    only its session (EPIPE/ECONNRESET on the reply are absorbed), and
+    so does one that stops reading its replies, once a reply write has
+    made no progress for [idle_timeout]; an exception escaping
+    evaluation becomes [err internal ...]; a store
     whose circuit breaker is open refuses mutations with
     [err degraded ...] while queries keep serving the last published
     snapshot; with [max_inflight] set, excess concurrent requests are
@@ -44,8 +46,9 @@ type t
 
 (** [start ()] binds and serves. [port] 0 picks an ephemeral port (read
     it back with {!port}); [workers] is the domain count (default 4);
-    [idle_timeout] (default 5s) bounds how long a silent connection
-    holds a worker; [b]/[checkpoint_every] configure created stores;
+    [idle_timeout] (default 5s) bounds how long a connection that
+    neither sends a request nor accepts reply bytes holds a worker;
+    [b]/[checkpoint_every] configure created stores;
     [max_inflight] bounds concurrently evaluated requests (default: no
     bound) — control verbs ping/close/shutdown are exempt;
     [request_deadline] (seconds) is the soft per-request deadline

@@ -22,8 +22,6 @@ let ceil_log ~base n =
   in
   loop 0 1
 
-let ilog_log2 n = max 1 (ilog2 (max 2 (ilog2 (max 2 n))))
-
 let log_star n =
   let rec loop acc n = if n <= 1 then acc else loop (acc + 1) (ilog2 n) in
   loop 0 n

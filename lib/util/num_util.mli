@@ -18,10 +18,6 @@ val ceil_log2 : int -> int
     This is the paper's [log_B n] search-path bound. *)
 val ceil_log : base:int -> int -> int
 
-(** [ilog_log2 n] is [max 1 (ilog2 (max 2 (ilog2 n)))]: the [log log B]
-    factor, clamped so it is always at least 1. *)
-val ilog_log2 : int -> int
-
 (** [log_star n] is the iterated logarithm: the number of times [ilog2]
     must be applied to [n] before the value drops to [<= 1]. *)
 val log_star : int -> int

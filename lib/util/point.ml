@@ -44,5 +44,3 @@ let dedup_by_id pts =
         true
       end)
     pts
-
-let sort_unique cmp pts = dedup_by_id (List.sort cmp pts)

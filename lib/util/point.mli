@@ -41,7 +41,3 @@ module Id_set : Set.S with type elt = int
 (** [dedup_by_id pts] keeps the first occurrence of each id, preserving
     order of first appearance. *)
 val dedup_by_id : t list -> t list
-
-(** [sort_unique cmp pts] sorts and removes duplicate ids (keeping the
-    copy that sorts first). *)
-val sort_unique : (t -> t -> int) -> t list -> t list

@@ -1,11 +1,5 @@
 type point_dist = Uniform | Clustered of int | Diagonal | Skyline
 
-let pp_point_dist ppf = function
-  | Uniform -> Format.fprintf ppf "uniform"
-  | Clustered k -> Format.fprintf ppf "clustered(%d)" k
-  | Diagonal -> Format.fprintf ppf "diagonal"
-  | Skyline -> Format.fprintf ppf "skyline"
-
 let points rng dist ~n ~universe =
   if n < 0 then invalid_arg "Workload.points: n < 0";
   if universe <= 0 then invalid_arg "Workload.points: universe <= 0";
@@ -39,12 +33,6 @@ let points rng dist ~n ~universe =
   List.init n gen_one
 
 type ival_dist = Short_ivals | Long_ivals | Mixed_ivals | Nested_ivals
-
-let pp_ival_dist ppf = function
-  | Short_ivals -> Format.fprintf ppf "short"
-  | Long_ivals -> Format.fprintf ppf "long"
-  | Mixed_ivals -> Format.fprintf ppf "mixed"
-  | Nested_ivals -> Format.fprintf ppf "nested"
 
 let intervals rng dist ~n ~universe =
   if n < 0 then invalid_arg "Workload.intervals: n < 0";

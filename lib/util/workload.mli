@@ -19,8 +19,6 @@ type point_dist =
       (** anti-correlated band ([x + y] roughly constant); many points are
           maximal, stressing sibling caches *)
 
-val pp_point_dist : Format.formatter -> point_dist -> unit
-
 (** [points rng dist ~n ~universe] generates [n] points with distinct ids
     [0..n-1] and coordinates in [0, universe). *)
 val points : Rng.t -> point_dist -> n:int -> universe:int -> Point.t list
@@ -31,8 +29,6 @@ type ival_dist =
   | Long_ivals  (** lengths ~ universe/4: heavy overlap *)
   | Mixed_ivals  (** log-uniform lengths *)
   | Nested_ivals  (** telescoping nests; adversarial for interval trees *)
-
-val pp_ival_dist : Format.formatter -> ival_dist -> unit
 
 (** [intervals rng dist ~n ~universe] generates [n] intervals with distinct
     ids and endpoints in [0, universe). *)

@@ -409,9 +409,7 @@ let test_metrics_byte_identity () =
   let obs = Obs.create () in
   Metrics.attach m obs;
   let st_metered = pager_workload ~obs () in
-  check_string "io stats identical"
-    (Io_stats.to_json st_plain)
-    (Io_stats.to_json st_metered)
+  check_bool "io stats identical" true (st_plain = st_metered)
 
 let test_metrics_span_histogram () =
   let m = Metrics.create () in

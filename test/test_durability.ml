@@ -212,12 +212,7 @@ let test_transient_retry_accounting () =
   let count k = List.length (List.filter (fun (e : Obs.event) -> e.kind = k) events) in
   check_int "one Retry event per burst" (Histogram.count h) (count Obs.Retry);
   check_int "one Fault event per failed attempt" st.Io_stats.retries
-    (count Obs.Fault);
-  (* nonzero retries surface in the JSON round trip *)
-  match Io_stats.of_json (Io_stats.to_json st) with
-  | Some st' -> check_int "retries round-trip through JSON" st.Io_stats.retries
-      st'.Io_stats.retries
-  | None -> Alcotest.fail "stats JSON did not parse back"
+    (count Obs.Fault)
 
 (* A burst longer than the plan's budget gives up exactly like a device
    error past its retry policy; a burst exactly as long as the budget
@@ -306,8 +301,7 @@ let run_idempotence_case ~policy_idx ~ios_pct ~torn =
   let r1 = Wal.recover img in
   let r2 = Wal.recover img in
   if not (Wal.recovered_equal r1 r2) then false
-  else if Io_stats.to_json r1.Wal.r_stats <> Io_stats.to_json r2.Wal.r_stats
-  then false
+  else if r1.Wal.r_stats <> r2.Wal.r_stats then false
   else
     let expected =
       if r1.Wal.r_meta = None then [] else prefix.(r1.Wal.r_tag + 1)

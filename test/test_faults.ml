@@ -377,6 +377,38 @@ let test_server_reply_too_large () =
       check_string "session survives" "ok pong" (expect_ok fd "ping");
       Unix.close fd)
 
+(* A client that sends requests but never reads the replies fills the
+   socket buffers. The send timeout ends that session once a reply
+   write makes no progress for [idle_timeout], so the only worker goes
+   on to serve the next client. *)
+let test_server_stalled_reader () =
+  let make_store ~name:_ =
+    Shared_store.create ~b:64
+      (List.init 20_000 (fun i -> Point.make ~x:i ~y:i ~id:i))
+  in
+  let t = Server.start ~port:0 ~workers:1 ~idle_timeout:0.3 ~make_store () in
+  let stalled = connect t in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close stalled with Unix.Unix_error _ -> ());
+      Server.stop t)
+    (fun () ->
+      Wire.write_frame stalled "open s";
+      let burst = Buffer.create 65_536 in
+      for _ = 1 to 2_000 do
+        let req = "krange 0 20000" in
+        Buffer.add_int32_be burst (Int32.of_int (String.length req));
+        Buffer.add_string burst req
+      done;
+      let b = Buffer.to_bytes burst in
+      ignore (Unix.write stalled b 0 (Bytes.length b));
+      let fd = connect t in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          check_string "next client served" "ok pong" (expect_ok fd "ping")))
+
 let test_server_graceful_drain () =
   let t = Server.start ~port:0 ~workers:2 () in
   let fd = connect t in
@@ -456,39 +488,6 @@ let test_super_ab_fallback () =
             (Bytes.to_string s)
       | _, None -> Alcotest.fail "mirror lost both slots")
 
-let test_super_legacy_upgrade () =
-  let dir = scratch_dir "super-legacy" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      Unix.mkdir dir 0o755;
-      (* hand-craft a pre-mirror single-slot superblock: one plain frame
-         [magic | u32 len | crc64 | payload] at the legacy path *)
-      let payload = Bytes.of_string "legacy-super" in
-      let plen = Bytes.length payload in
-      let frame = Bytes.create (16 + plen) in
-      Bytes.blit_string "PCJR" 0 frame 0 4;
-      Bytes.set_int32_le frame 4 (Int32.of_int plen);
-      Bytes.set_int64_le frame 8 (Page_codec.crc64 payload ~pos:0 ~len:plen);
-      Bytes.blit payload 0 frame 16 plen;
-      let oc = open_out_bin (Wal_file.super_path ~dir) in
-      output_bytes oc frame;
-      close_out oc;
-      Alcotest.(check (option int)) "legacy file reads as epoch 0" (Some 0)
-        (Wal_file.super_epoch ~dir);
-      (match Wal_file.read ~dir with
-      | _, Some s -> check_string "legacy payload" "legacy-super" (Bytes.to_string s)
-      | _, None -> Alcotest.fail "legacy superblock unreadable");
-      (* any mirrored write supersedes the legacy slot *)
-      let w = Wal_file.open_dir ~dir in
-      Wal_file.write_super w (Bytes.of_string "mirrored");
-      Wal_file.close w;
-      Alcotest.(check (option int)) "mirrored write takes epoch 1" (Some 1)
-        (Wal_file.super_epoch ~dir);
-      match Wal_file.read ~dir with
-      | _, Some s -> check_string "mirror wins" "mirrored" (Bytes.to_string s)
-      | _, None -> Alcotest.fail "superblock unreadable after upgrade")
-
 (* ------------------------------------------------------------------ *)
 
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -510,7 +509,9 @@ let suite =
     ("server sheds overload", `Quick, test_server_overload_shed);
     ("server serves degraded store", `Quick, test_server_degraded_store);
     ("server refuses an oversized reply", `Quick, test_server_reply_too_large);
+    ( "server drops a client that stops reading",
+      `Quick,
+      test_server_stalled_reader );
     ("server drains gracefully", `Quick, test_server_graceful_drain);
     ("superblock A/B fallback", `Quick, test_super_ab_fallback);
-    ("superblock legacy upgrade", `Quick, test_super_legacy_upgrade);
   ]

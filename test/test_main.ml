@@ -6,7 +6,6 @@ let () =
       ("util", Test_util.suite);
       ("pagestore", Test_pagestore.suite);
       ("bufferpool", Test_bufferpool.suite);
-      ("inmem", Test_inmem.suite);
       ("btree", Test_btree.suite);
       ("extpst", Test_extpst.suite);
       ("dynamic", Test_dynamic.suite);
@@ -15,7 +14,6 @@ let () =
       ("threesided", Test_3sided.suite);
       ("apps", Test_apps.suite);
       ("extensions", Test_extensions.suite);
-      ("persist", Test_persist.suite);
       ("robustness", Test_robustness.suite);
       ("durability", Test_durability.suite);
       ("obs", Test_obs.suite);

@@ -204,7 +204,6 @@ let test_replay_matches_counters () =
       check_int "allocs" st.Io_stats.allocs r.Obs.t_allocs;
       check_int "frees" st.Io_stats.frees r.Obs.t_frees;
       check_int "evictions" st.Io_stats.evictions r.Obs.t_evictions;
-      check_int "write backs" st.Io_stats.write_backs r.Obs.t_write_backs;
       (* build + 8 queries *)
       check_int "spans" 9 r.Obs.t_spans)
 
@@ -224,17 +223,19 @@ let test_replay_pooled () =
       let r = Obs.replay_file path in
       check_int "reads" st.Io_stats.reads r.Obs.t_reads;
       check_int "hits" st.Io_stats.cache_hits r.Obs.t_cache_hits;
-      check_int "evictions" st.Io_stats.evictions r.Obs.t_evictions;
-      check_int "write backs" st.Io_stats.write_backs r.Obs.t_write_backs)
+      check_int "evictions" st.Io_stats.evictions r.Obs.t_evictions)
 
 (* Each malformed line follows a well-formed one, so every reader must
-   reject it and name line 2. The last three rows start with "{", end
-   with "}" and carry a known kind: only a field-by-field decode catches
-   them. *)
+   reject it and name line 2. The retired write-back and pin kinds are
+   unknown kinds like any other. The last three rows start with "{",
+   end with "}" and carry a known kind: only a field-by-field decode
+   catches them. *)
 let malformed_lines =
   [
     ("not an object", "this is not a trace");
     ("unknown kind", {|{"tick":1,"kind":"teleport","src":0,"page":1}|});
+    ("retired write-back", {|{"tick":1,"kind":"write_back","src":0,"page":1}|});
+    ("retired pin", {|{"tick":1,"kind":"pin","src":0,"page":1}|});
     ("missing page", {|{"tick":50,"kind":"read","src":0}|});
     ( "truncated args",
       {|{"tick":1,"kind":"phase","src":0,"page":1,"label":"dev.read","args":{"ns":10}|}
@@ -313,22 +314,13 @@ let test_query_span_args () =
   check_int "skeletal attached" st.Query_stats.skeletal_reads
     (List.assoc "skeletal_reads" closing.Obs.args)
 
-(* ----- satellite: pp / to_json fixes ----- *)
+(* ----- satellite: pp fixes ----- *)
 
 let test_query_stats_pp_raw () =
   let st = Query_stats.create () in
   st.Query_stats.reported_raw <- 17;
   let s = Format.asprintf "%a" Query_stats.pp st in
   check_bool "pp shows raw" true (contains_sub s "raw=17")
-
-let test_stats_to_json () =
-  let io = Io_stats.create () in
-  io.Io_stats.reads <- 3;
-  check_bool "io_stats json" true (contains_sub (Io_stats.to_json io) "\"reads\":3");
-  let qs = Query_stats.create () in
-  qs.Query_stats.data_reads <- 2;
-  check_bool "query_stats json" true
-    (contains_sub (Query_stats.to_json qs) "\"data_reads\":2")
 
 (* ----- satellite: with_counted nesting ----- *)
 
@@ -421,7 +413,7 @@ let prop_percentile_reference =
 (* ----- satellite: trace profile aggregation ----- *)
 
 (* Hand-written trace, hand-computed table: two query spans (3 and 1
-   reads — write_back counts, cache_hit does not) and one build span
+   I/Os — a write counts, cache_hit does not) and one build span
    (2 writes); inclusive attribution gives the outer build span the
    nested query's read too. *)
 let profile_trace =
@@ -439,7 +431,7 @@ let profile_trace =
       {|{"tick":9,"kind":"read","src":0,"page":8}|};
       {|{"tick":10,"kind":"cache_hit","src":0,"page":8}|};
       {|{"tick":11,"kind":"read","src":0,"page":7}|};
-      {|{"tick":12,"kind":"write_back","src":0,"page":7}|};
+      {|{"tick":12,"kind":"write","src":0,"page":7}|};
       {|{"tick":13,"kind":"span_end","src":-1,"page":2,"label":"query"}|};
       "";
     ]
@@ -747,7 +739,6 @@ let suite =
     Alcotest.test_case "chrome export well-formed" `Quick test_chrome_format;
     Alcotest.test_case "query span carries stats" `Quick test_query_span_args;
     Alcotest.test_case "query_stats pp shows raw" `Quick test_query_stats_pp_raw;
-    Alcotest.test_case "io/query stats to_json" `Quick test_stats_to_json;
     Alcotest.test_case "with_counted nesting inclusive" `Quick
       test_with_counted_nesting;
     Alcotest.test_case "percentile empty returns 0" `Quick test_percentile_empty;

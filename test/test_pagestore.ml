@@ -185,54 +185,6 @@ let prop_lru_never_exceeds =
       st.Io_stats.reads + st.Io_stats.cache_hits = List.length accesses
       && (cache > 0 || st.Io_stats.cache_hits = 0))
 
-(* ----- stats JSON round trips ----- *)
-
-let test_io_stats_json_roundtrip () =
-  let st = Io_stats.create () in
-  st.Io_stats.reads <- 3;
-  st.Io_stats.writes <- 5;
-  st.Io_stats.cache_hits <- 7;
-  st.Io_stats.allocs <- 11;
-  st.Io_stats.frees <- 2;
-  st.Io_stats.evictions <- 13;
-  st.Io_stats.write_backs <- 1;
-  (match Io_stats.of_json (Io_stats.to_json st) with
-  | None -> Alcotest.fail "io_stats round trip failed to parse"
-  | Some got ->
-      check_int "reads" st.Io_stats.reads got.Io_stats.reads;
-      check_int "writes" st.Io_stats.writes got.Io_stats.writes;
-      check_int "cache_hits" st.Io_stats.cache_hits got.Io_stats.cache_hits;
-      check_int "allocs" st.Io_stats.allocs got.Io_stats.allocs;
-      check_int "frees" st.Io_stats.frees got.Io_stats.frees;
-      check_int "evictions" st.Io_stats.evictions got.Io_stats.evictions;
-      check_int "write_backs" st.Io_stats.write_backs got.Io_stats.write_backs;
-      check_int "total preserved" (Io_stats.total st) (Io_stats.total got));
-  check_bool "missing field rejected" true
-    (Io_stats.of_json "{\"reads\":3}" = None);
-  check_bool "garbage rejected" true (Io_stats.of_json "not json" = None)
-
-let test_query_stats_json_roundtrip () =
-  let st = Query_stats.create () in
-  st.Query_stats.skeletal_reads <- 2;
-  st.Query_stats.data_reads <- 19;
-  st.Query_stats.cache_reads <- 6;
-  st.Query_stats.wasteful_reads <- 8;
-  st.Query_stats.reported_raw <- 1311;
-  (match Query_stats.of_json (Query_stats.to_json st) with
-  | None -> Alcotest.fail "query_stats round trip failed to parse"
-  | Some got ->
-      check_int "skeletal" st.Query_stats.skeletal_reads
-        got.Query_stats.skeletal_reads;
-      check_int "data" st.Query_stats.data_reads got.Query_stats.data_reads;
-      check_int "cache" st.Query_stats.cache_reads got.Query_stats.cache_reads;
-      check_int "wasteful" st.Query_stats.wasteful_reads
-        got.Query_stats.wasteful_reads;
-      check_int "raw" st.Query_stats.reported_raw got.Query_stats.reported_raw;
-      check_int "total preserved" (Query_stats.total st)
-        (Query_stats.total got));
-  check_bool "missing field rejected" true
-    (Query_stats.of_json "{\"data_reads\":1}" = None)
-
 let suite =
   [
     ("alloc / read / write / free", `Quick, test_alloc_read_write);
@@ -249,6 +201,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_blocked_roundtrip;
     QCheck_alcotest.to_alcotest prop_scan_prefix_exact;
     QCheck_alcotest.to_alcotest prop_lru_never_exceeds;
-    ("io_stats json round trip", `Quick, test_io_stats_json_roundtrip);
-    ("query_stats json round trip", `Quick, test_query_stats_json_roundtrip);
   ]
