@@ -74,6 +74,7 @@ let () =
        sweep (they are budget exhaustion, not evidence). *)
     let per_domain = max 1 (!ops / !domains) in
     let inconclusive = ref 0 in
+    let checkpoints = ref 0 in
     (try
        for seed = 0 to !seeds - 1 do
          if out_of_time () then raise Exit;
@@ -82,6 +83,7 @@ let () =
            Lin.run ~b:!b ~domains:!domains ~per_domain ~seed ()
          in
          Pc_conc.Shared_store.check_invariants store;
+         checkpoints := !checkpoints + Pc_conc.Shared_store.checkpoints store;
          match Lin.check history with
          | Lin.Linearizable -> ()
          | Lin.Inconclusive msg ->
@@ -105,9 +107,9 @@ let () =
        done
      with Exit -> ());
     Format.printf
-      "stress --domains %d: %d runs x %d ops/domain, %d failure(s), %d \
-       inconclusive%s@."
-      !domains !runs per_domain !failures !inconclusive
+      "stress --domains %d: %d runs x %d ops/domain, %d checkpoint(s), %d \
+       failure(s), %d inconclusive%s@."
+      !domains !runs per_domain !checkpoints !failures !inconclusive
       (if out_of_time () then " (budget exhausted)" else "");
     exit (min 1 !failures)
   end;

@@ -96,7 +96,7 @@ let run_op store op =
         |> List.map Point.id |> List.sort compare)
   | _ -> O_ok (* not generated for concurrent runs *)
 
-let run ?(b = 8) ?(checkpoint_every = 256) ?(universe = Dsl.universe) ~domains
+let run ?(b = 8) ?(checkpoint_every = 32) ?(universe = Dsl.universe) ~domains
     ~per_domain ~seed () =
   if domains < 1 then invalid_arg "Lin.run: domains < 1";
   let progs =

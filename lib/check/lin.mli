@@ -49,7 +49,10 @@ val id_stride : int
 
 (** [run ~domains ~per_domain ~seed ()] executes the generated programs
     concurrently against a fresh store and returns it with the recorded
-    history. Deterministic programs; nondeterministic interleaving. *)
+    history. Deterministic programs; nondeterministic interleaving. The
+    store's [checkpoint_every] defaults to 32, so a run of a few hundred
+    operations rebuilds several times and its readers race the rebuild
+    and publish. *)
 val run :
   ?b:int ->
   ?checkpoint_every:int ->

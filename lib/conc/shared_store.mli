@@ -4,16 +4,19 @@
 
     The store keeps the current state as an immutable {e snapshot}
     published through one [Atomic.t]: a B-tree (key ranges) and a
-    3-sided PST built at the last {e checkpoint}, plus a persistent-map
-    overlay of inserts and deletes since. N reader domains each perform
-    one [Atomic.get] and then query the snapshot with no further
-    synchronization — the base structures sit on capacity-0 pagers
-    whose read path performs no structural mutation, and the overlay is
-    immutable. Writers serialize on a mutex, derive the next snapshot,
-    and publish it with one [Atomic.set]; that store is the operation's
-    linearization point. When the overlay outgrows [checkpoint_every],
-    the writer rebuilds fresh base structures from the visible point
-    set (bulk load) and publishes an empty overlay.
+    3-sided PST built at the last {e checkpoint}, plus a persistent
+    overlay of inserts and deletes since, indexed by id and by
+    coordinate. N reader domains each perform one [Atomic.get] and then
+    query the snapshot with no further synchronization — the base
+    structures sit on capacity-0 pagers whose read path performs no
+    structural mutation, and the overlay is immutable. A read visits
+    only the overlay points in its x-range, so it costs
+    [O(log_B n + t/B + log |overlay| + t_overlay)]. Writers serialize
+    on a mutex, derive the next snapshot, and publish it with one
+    [Atomic.set]; that store is the operation's linearization point.
+    When the overlay reaches [checkpoint_every], the writer rebuilds
+    fresh base structures from the visible point set (bulk load, from
+    points kept in sorted order) and publishes an empty overlay.
 
     {b Reclamation} is snapshot-on-checkpoint over the GC: a superseded
     snapshot stays alive exactly as long as some reader still holds it,
@@ -46,7 +49,9 @@ exception Degraded of string
     from the last published snapshot. The server maps this to a typed
     [err degraded] reply. See {!Breaker}. *)
 
-(** [create pts] bulk-loads the initial snapshot. [b] is the page
+(** [create pts] bulk-loads the initial snapshot. [pts] holds one
+    point per id: when an id repeats, the last point given for it wins,
+    as {!insert}'s upsert would leave it. [b] is the page
     capacity of the underlying structures (default 8, min 4);
     [checkpoint_every] (default 512) bounds the overlay size before a
     rebuild; [wal] journals mutations and checkpoints; [breaker] guards
@@ -105,6 +110,8 @@ val delete : t -> int -> bool
 (** [checkpoint_now t] forces a rebuild if the overlay is non-empty. *)
 val checkpoint_now : t -> unit
 
-(** Structural invariants of the current snapshot (base structures and
-    overlay disjointness). Raises [Failure] on violation. *)
+(** Structural invariants of the current snapshot: the base structures,
+    the sorted base (strictly ordered, exactly the base's points), the
+    coordinate index (exactly the overlay's points) and overlay
+    disjointness. Raises [Failure] on violation. *)
 val check_invariants : t -> unit

@@ -26,9 +26,10 @@ type t = {
    broken by position in the segment (what a stable sort would keep).
    The rest slides left in its order and is split at index [(m - 1) / 2].
    Only the root's segment is in input order: its rest is sorted once by
-   [Point.compare_xy], and every segment below stays sorted, so no region
-   re-sorts. Each level costs O(n log B): O(n log n · log B) overall.
-   Children are numbered right subtree first. *)
+   [Point.compare_xy] (skipped when it is already in that order, as it is
+   for [Point.compare_xy]-sorted input), and every segment below stays
+   sorted, so no region re-sorts. Each level costs O(n log B):
+   O(n log n · log B) overall. Children are numbered right subtree first. *)
 let build ~capacity pts =
   if capacity < 1 then invalid_arg "Region_tree.build: capacity < 1";
   let arr = Array.of_list pts in
@@ -82,6 +83,11 @@ let build ~capacity pts =
     done;
     pts_by_y
   in
+  (* [arr.(i - 1 .. hi - 1)] is in [Point.compare_xy] order *)
+  let rec sorted_xy i hi =
+    i >= hi
+    || (Point.compare_xy arr.(i - 1) arr.(i) <= 0 && sorted_xy (i + 1) hi)
+  in
   let counter = ref 0 in
   let acc_nodes = ref [] in
   let rec make lo len depth xlo xhi =
@@ -94,7 +100,7 @@ let build ~capacity pts =
       Array.stable_sort Point.compare_x_desc pts_by_x;
       let min_y = (pts_by_y.(Array.length pts_by_y - 1) : Point.t).y in
       let m = len - Array.length pts_by_y in
-      if depth = 0 && m > 0 then begin
+      if depth = 0 && m > 0 && not (sorted_xy (lo + 1) (lo + m)) then begin
         let rest = Array.sub arr lo m in
         Array.stable_sort Point.compare_xy rest;
         Array.blit rest 0 arr lo m

@@ -51,11 +51,45 @@ type t = {
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let store_points pager pts = Blocked_list.store pager (List.map (fun p -> Pt p) pts)
+let cell_point = function
+  | Pt p -> p
+  | Src { p; _ } -> p
+  | Desc _ -> invalid_arg "Ext_pst3: descriptor cell in a point list"
 
-let store_srcs pager entries =
-  Blocked_list.store pager
-    (List.map (fun (p, src, src_total) -> Src { p; src; src_total }) entries)
+let store_points pager pts =
+  Blocked_list.store_array pager (Array.map (fun p -> Pt p) pts)
+
+(* A stable merge of [runs], each sorted by [cmp] on its cells' points:
+   equal cells keep the order of their runs, which is the order a
+   stable sort of the runs' concatenation gives them. *)
+let merge_runs cmp runs =
+  let runs = Array.of_list (List.filter (fun r -> Array.length r > 0) runs) in
+  let k = Array.length runs in
+  if k = 0 then [||]
+  else if k = 1 then runs.(0)
+  else begin
+    let pos = Array.make k 0 in
+    let total = Array.fold_left (fun n r -> n + Array.length r) 0 runs in
+    let out = Array.make total runs.(0).(0) in
+    for o = 0 to total - 1 do
+      let best = ref (-1) in
+      for i = 0 to k - 1 do
+        let r = runs.(i) in
+        if
+          pos.(i) < Array.length r
+          && (!best < 0
+             || cmp
+                  (cell_point r.(pos.(i)))
+                  (cell_point runs.(!best).(pos.(!best)))
+                < 0)
+        then best := i
+      done;
+      let i = !best in
+      out.(o) <- runs.(i).(pos.(i));
+      pos.(i) <- pos.(i) + 1
+    done;
+    out
+  end
 
 let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
     ~mode ~b pts =
@@ -81,18 +115,33 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
       let rt = Pc_extpst.Region_tree.build ~capacity:b pts in
       let num_nodes = Pc_extpst.Region_tree.num_nodes rt in
       let descs = Array.make num_nodes None in
-      (* First-page entries of an ancestor or sibling region, in the order
-         needed by each cache. With capacity B every region fits one page,
-         so the "first page" is the whole region. *)
-      let first_entries order (u : Pc_extpst.Region_tree.node) =
-        let pts =
-          match order with
-          | `X_desc -> Array.to_list u.pts_by_x
-          | `X_asc -> List.rev (Array.to_list u.pts_by_x)
-          | `Y_desc -> Array.to_list u.pts_by_y
-        in
-        let k = min b (List.length pts) in
-        List.map (fun p -> (p, u.idx, k)) (Blocked.take k pts)
+      (* Each region's first-page entries, tagged with their source once,
+         in the three orders the caches need: x descending, x ascending
+         and y descending. With capacity B every region fits one page, so
+         the "first page" is the whole region. The x-ascending run is
+         [pts_by_x] reversed and then sorted stably, since reversal leaves
+         points equal in x in decreasing id rather than increasing y. *)
+      let tagged pts_of =
+        Array.init
+          (if mode = Cached then num_nodes else 0)
+          (fun i ->
+            let u = Pc_extpst.Region_tree.node_by_idx rt i in
+            let pts = pts_of u in
+            let src_total = Array.length pts in
+            Array.map (fun p -> Src { p; src = u.idx; src_total }) pts)
+      in
+      let x_desc = tagged (fun u -> u.pts_by_x) in
+      let y_desc = tagged (fun u -> u.pts_by_y) in
+      let x_asc =
+        Array.map
+          (fun run ->
+            let k = Array.length run in
+            let r = Array.init k (fun j -> run.(k - 1 - j)) in
+            Array.stable_sort
+              (fun c d -> Point.compare_xy (cell_point c) (cell_point d))
+              r;
+            r)
+          x_desc
       in
       let rec visit (n : Pc_extpst.Region_tree.node) anc =
         let lo, hi =
@@ -106,29 +155,15 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
               a.depth >= lo && a.depth < hi)
             anc
         in
-        let sort_fst cmp = List.sort (fun (p1, _, _) (p2, _, _) -> cmp p1 p2) in
-        let a_entries =
-          List.concat_map (fun (a, _) -> first_entries `X_desc a) window
-          |> sort_fst Point.compare_x_desc
+        (* a cache is its sources' runs merged, nearest source first *)
+        let cache cmp runs sources =
+          sources
+          |> List.map (fun (u : Pc_extpst.Region_tree.node) -> runs.(u.idx))
+          |> merge_runs cmp
+          |> Blocked_list.store_array pager
         in
-        let a_asc_entries =
-          List.concat_map (fun (a, _) -> first_entries `X_asc a) window
-          |> sort_fst Point.compare_xy
-        in
-        let sib_entries pick =
-          List.concat_map
-            (fun ((a : Pc_extpst.Region_tree.node), went_left) ->
-              match pick went_left a with
-              | Some s -> first_entries `Y_desc s
-              | None -> None |> Option.to_list |> List.concat)
-            window
-          |> sort_fst Point.compare_y_desc
-        in
-        let sr_entries =
-          sib_entries (fun went_left a -> if went_left then a.right else None)
-        in
-        let sl_entries =
-          sib_entries (fun went_left a -> if went_left then None else a.left)
+        let siblings pick =
+          List.filter_map (fun (a, went_left) -> pick went_left a) window
         in
         let n_pts = Array.length n.pts_by_y in
         let min_x =
@@ -143,17 +178,23 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
           | Some (c : Pc_extpst.Region_tree.node) -> c.min_y
           | None -> max_int
         in
-        (* Single-page point lists are order-insensitive to scan, so the
-           three sort orders share one page. *)
-        let y_list = store_points pager (Array.to_list n.pts_by_y) in
-        let x_list =
-          if n_pts <= b then y_list
-          else store_points pager (Array.to_list n.pts_by_x)
+        (* With capacity B a region fits one page, and a single-page list
+           is order-insensitive to scan, so the three sort orders share
+           that page. *)
+        let y_list = store_points pager n.pts_by_y in
+        (* Page ids follow allocation order, which the on-disk format
+           pins: the caches are stored sl, sr, a_asc, then a. *)
+        let sl_list =
+          cache Point.compare_y_desc y_desc
+            (siblings (fun went_left a -> if went_left then None else a.left))
         in
-        let x_asc_list =
-          if n_pts <= b then y_list
-          else store_points pager (List.rev (Array.to_list n.pts_by_x))
+        let sr_list =
+          cache Point.compare_y_desc y_desc
+            (siblings (fun went_left a -> if went_left then a.right else None))
         in
+        let window = List.map fst window in
+        let a_asc_list = cache Point.compare_xy x_asc window in
+        let a_list = cache Point.compare_x_desc x_desc window in
         descs.(n.idx) <-
           Some
             {
@@ -169,12 +210,12 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
               right_min_y = child_min n.right;
               n_pts;
               y_list;
-              x_list;
-              x_asc_list;
-              a_list = store_srcs pager a_entries;
-              a_asc_list = store_srcs pager a_asc_entries;
-              sr_list = store_srcs pager sr_entries;
-              sl_list = store_srcs pager sl_entries;
+              x_list = y_list;
+              x_asc_list = y_list;
+              a_list;
+              a_asc_list;
+              sr_list;
+              sl_list;
             };
         (match n.left with Some l -> visit l ((n, true) :: anc) | None -> ());
         match n.right with Some r -> visit r ((n, false) :: anc) | None -> ()
@@ -213,11 +254,6 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
 (* ------------------------------------------------------------------ *)
 (* Queries                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let cell_point = function
-  | Pt p -> p
-  | Src { p; _ } -> p
-  | Desc _ -> invalid_arg "Ext_pst3: descriptor cell in a point list"
 
 type side = L | R
 

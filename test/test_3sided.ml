@@ -139,6 +139,69 @@ let prop_3sided_random =
           Oracle.ids (fst (Ext_pst3.query t ~xl ~xr ~yb)) = want)
         both_modes)
 
+(* Page images. Each case is built through the binary codec onto an
+   in-memory device, from its points in generation order and again
+   sorted by [Point.compare_xy], and the digest of every page written
+   must equal the one recorded for it. The I/O-count pins see neither
+   page contents nor the order pages are allocated in; these digests
+   see both. The first case collides in x and in (x, y) and reuses ids,
+   so it pins how cache entries that compare equal are ordered. *)
+let page_digest ~mode ~b pts =
+  let dev =
+    Pc_blockdev.Block_device.mem ~page_bytes:(Ext_pst3.page_bytes ~b) ()
+  in
+  ignore
+    (Ext_pst3.create ~backend:{ Pager.dev; codec = Ext_pst3.codec } ~mode ~b
+       pts);
+  List.init (dev.size_pages ()) (fun i -> Digest.bytes (dev.read_page i))
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let page_image_cases =
+  let points ~seed ~n ~universe ~id =
+    let rng = Rng.create seed in
+    List.init n (fun i ->
+        let x = Rng.int rng universe in
+        Point.make ~x ~y:(Rng.int rng universe) ~id:(id i))
+  in
+  [
+    ( "cached b=4, colliding",
+      Ext_pst3.Cached,
+      4,
+      points ~seed:41 ~n:600 ~universe:24 ~id:(fun i -> i mod 150),
+      ( "309fa4fef1ffdc5e6d836491367680af",
+        "80a0c15b4c07e20cb3e06abd85f50bad" ) );
+    ( "cached b=8",
+      Ext_pst3.Cached,
+      8,
+      points ~seed:43 ~n:3000 ~universe:(1 lsl 20) ~id:Fun.id,
+      ( "296a70e0a5e8d51759777d90cf62bd5a",
+        "296a70e0a5e8d51759777d90cf62bd5a" ) );
+    ( "cached b=64",
+      Ext_pst3.Cached,
+      64,
+      points ~seed:47 ~n:3000 ~universe:1000 ~id:Fun.id,
+      ( "0c85049eff1fe49233526c5e51da702a",
+        "0c85049eff1fe49233526c5e51da702a" ) );
+    ( "baseline b=16",
+      Ext_pst3.Baseline,
+      16,
+      points ~seed:53 ~n:2000 ~universe:300 ~id:Fun.id,
+      ( "8c93a1583d017e5dc27a7b7ccc6fb634",
+        "8c93a1583d017e5dc27a7b7ccc6fb634" ) );
+  ]
+
+let test_page_images () =
+  List.iter
+    (fun (name, mode, b, pts, (generated, sorted)) ->
+      Alcotest.(check string)
+        (name ^ ", generation order")
+        generated (page_digest ~mode ~b pts);
+      Alcotest.(check string)
+        (name ^ ", xy-sorted")
+        sorted
+        (page_digest ~mode ~b (List.sort Point.compare_xy pts)))
+    page_image_cases
+
 let suite =
   [
     ("vs oracle", `Slow, test_vs_oracle);
@@ -147,5 +210,6 @@ let suite =
     ("reduces to 2-sided", `Quick, test_reduces_to_two_sided);
     ("cached I/O improvement", `Quick, test_cached_io_improvement);
     ("query I/O bound", `Quick, test_query_io_bound);
+    ("page images match the recorded digests", `Quick, test_page_images);
     QCheck_alcotest.to_alcotest prop_3sided_random;
   ]

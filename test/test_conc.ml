@@ -278,6 +278,92 @@ let test_shared_store_krange_merge () =
   Shared_store.check_invariants store;
   check_bool "checkpoints happened" true (Shared_store.checkpoints store > 20)
 
+(* [create] keeps one point per id, the last one given, as [insert]'s
+   upsert would: both base structures and the by-id map hold the same
+   points. *)
+let test_shared_store_create_dedup () =
+  let p x y id = Point.make ~x ~y ~id in
+  let store = Shared_store.create [ p 1 1 5; p 2 2 5; p 3 3 6 ] in
+  let q3 () =
+    Shared_store.query3 store ~xl:0 ~xr:10 ~yb:0
+    |> List.sort Point.compare_xy |> List.map Point.to_string
+  in
+  Shared_store.check_invariants store;
+  check_int "size" 2 (Shared_store.size store);
+  check_bool "krange" true
+    (Shared_store.krange store ~lo:0 ~hi:10 = [ (2, 2); (3, 3) ]);
+  Alcotest.(check (list string)) "query3" [ "#5(2,2)"; "#6(3,3)" ] (q3 ());
+  check_bool "find" true (Shared_store.find store 5 = Some (p 2 2 5));
+  check_bool "delete" true (Shared_store.delete store 5);
+  check_bool "krange after delete" true
+    (Shared_store.krange store ~lo:0 ~hi:10 = [ (3, 3) ]);
+  Alcotest.(check (list string)) "query3 after delete" [ "#6(3,3)" ] (q3 ());
+  Shared_store.check_invariants store
+
+(* The store answers as a fresh [create] over the model's visible points
+   does, after every operation: with a live overlay, and after every
+   checkpoint, forced or automatic. A 6-wide universe makes (x, y)
+   collide, ids come from a pool of 12 so inserts often re-insert a live
+   id, and [checkpoint_every] of 1, 4 and 24 rebuilds after every write,
+   often, or rarely. *)
+let prop_shared_store_matches_fresh =
+  let op =
+    QCheck.Gen.(
+      triple (int_range 0 9) (int_range 0 11)
+        (pair (int_range 0 5) (int_range 0 5)))
+  in
+  QCheck.Test.make ~name:"shared store answers as a fresh store of its points"
+    ~count:100
+    QCheck.(
+      pair (oneofl [ 1; 4; 24 ]) (make QCheck.Gen.(list_size (1 -- 40) op)))
+    (fun (checkpoint_every, ops) ->
+      let store = Shared_store.create ~b:4 ~checkpoint_every [] in
+      let model : (int, Point.t) Hashtbl.t = Hashtbl.create 16 in
+      let grid = List.init 8 (fun i -> i - 1) in
+      let pairs =
+        List.concat_map (fun a -> List.map (fun c -> (a, c)) grid) grid
+      in
+      let q3 s ~xl ~xr ~yb =
+        List.sort Point.compare_xy (Shared_store.query3 s ~xl ~xr ~yb)
+      in
+      let agrees () =
+        Shared_store.check_invariants store;
+        let fresh =
+          Shared_store.create ~b:4 (List.of_seq (Hashtbl.to_seq_values model))
+        in
+        Shared_store.size store = Hashtbl.length model
+        && List.for_all
+             (fun (lo, hi) ->
+               Shared_store.krange store ~lo ~hi
+               = Shared_store.krange fresh ~lo ~hi)
+             pairs
+        && List.for_all
+             (fun (xl, xr) ->
+               List.for_all
+                 (fun yb -> q3 store ~xl ~xr ~yb = q3 fresh ~xl ~xr ~yb)
+                 [ -1; 1; 3; 5 ])
+             pairs
+      in
+      List.for_all
+        (fun (kind, id, (x, y)) ->
+          let ok =
+            match kind with
+            | 0 ->
+                Shared_store.checkpoint_now store;
+                true
+            | 1 | 2 | 3 ->
+                let live = Hashtbl.mem model id in
+                Hashtbl.remove model id;
+                Shared_store.delete store id = live
+            | _ ->
+                let p = Point.make ~x ~y ~id in
+                Hashtbl.replace model id p;
+                Shared_store.insert store p;
+                true
+          in
+          ok && agrees ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* The linearizability checker on crafted histories                   *)
 (* ------------------------------------------------------------------ *)
@@ -363,15 +449,27 @@ let test_lin_history_roundtrip () =
 
 let test_lin_recorded_run () =
   (* a real 2-domain execution must record a linearizable history *)
+  let linearizable history =
+    match Lin.check history with
+    | Lin.Linearizable -> ()
+    | Lin.Violation v ->
+        Alcotest.failf "violation:@.%a" (fun ppf -> Lin.pp_history ppf) v
+    | Lin.Inconclusive m -> Alcotest.fail m
+  in
   let store, history = Lin.run ~domains:2 ~per_domain:40 ~seed:3 () in
   Shared_store.check_invariants store;
   check_bool "some interleaving recorded" true
     (Array.length history.Lin.calls = 80);
-  match Lin.check history with
-  | Lin.Linearizable -> ()
-  | Lin.Violation v ->
-      Alcotest.failf "violation:@.%a" (fun ppf -> Lin.pp_history ppf) v
-  | Lin.Inconclusive m -> Alcotest.fail m
+  linearizable history;
+  (* the default checkpoint threshold rebuilds within a 2 x 200-op run,
+     so the checked history has readers racing a rebuild and publish *)
+  let store, history = Lin.run ~domains:2 ~per_domain:200 ~seed:3 () in
+  Shared_store.check_invariants store;
+  check_bool
+    (Printf.sprintf "%d checkpoints >= 2" (Shared_store.checkpoints store))
+    true
+    (Shared_store.checkpoints store >= 2);
+  linearizable history
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 4: wire protocol edge cases                              *)
@@ -483,6 +581,9 @@ let suite =
       test_shared_store_differential;
     Alcotest.test_case "shared store krange merge vs sorted oracle" `Quick
       test_shared_store_krange_merge;
+    Alcotest.test_case "shared store create keeps one point per id" `Quick
+      test_shared_store_create_dedup;
+    QCheck_alcotest.to_alcotest prop_shared_store_matches_fresh;
     Alcotest.test_case "lin: overlapping stale read accepted" `Quick
       test_lin_accepts_overlap;
     Alcotest.test_case "lin: stale read / phantom delete rejected" `Quick

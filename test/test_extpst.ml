@@ -299,16 +299,18 @@ let reference_region_tree ~capacity pts =
   (root, !counter)
 
 (* Orders: shuffled, x-sorted with y rising (every point beats the worst
-   one kept so far) and x-sorted with y falling. A small universe makes
-   coordinates collide; every other case reuses ids, which pins the tie
-   order among points equal in y and id. *)
+   one kept so far), x-sorted with y falling, and sorted by
+   [Point.compare_xy] (the root's rest is then already in order and its
+   sort is skipped). A small universe makes coordinates collide; every
+   other case reuses ids, which pins the tie order among points equal in
+   y and id. *)
 let prop_region_tree_matches_reference =
   QCheck.Test.make ~name:"region tree build matches the list-sorting reference"
     ~count:300
     QCheck.(
       quad (int_range 0 400)
         (oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 64 ])
-        (oneofl [ `Shuffled; `Y_rising; `Y_falling ])
+        (oneofl [ `Shuffled; `Y_rising; `Y_falling; `Xy_sorted ])
         (pair (int_range 1 64) int))
     (fun (n, capacity, order, (universe, seed)) ->
       let st = Random.State.make [| seed |] in
@@ -317,13 +319,16 @@ let prop_region_tree_matches_reference =
       let ys = List.init n (fun _ -> coord ()) in
       let xs, ys =
         match order with
-        | `Shuffled -> (xs, ys)
+        | `Shuffled | `Xy_sorted -> (xs, ys)
         | `Y_rising -> (List.sort compare xs, List.sort compare ys)
         | `Y_falling -> (List.sort compare xs, List.sort (Fun.flip compare) ys)
       in
       let id i = if seed land 1 = 0 then i else i mod ((n / 3) + 1) in
       let pts =
         List.mapi (fun i (x, y) -> Point.make ~x ~y ~id:(id i)) (List.combine xs ys)
+      in
+      let pts =
+        if order = `Xy_sorted then List.sort Point.compare_xy pts else pts
       in
       let rt = Region_tree.build ~capacity pts in
       Region_tree.check_invariants rt;
