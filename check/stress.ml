@@ -117,7 +117,8 @@ let () =
     (* Chaos sweep: every fault-tolerance cell — transient / torn /
        stalled faults absorbed exactly, latent sectors degraded but
        never wrong, give-ups typed with full recovery, the durable
-       committed prefix surviving device faults, and the breaker's
+       committed prefix surviving device faults, give-ups past a
+       journaled tree's commit point never surfacing, and the breaker's
        degrade -> probe -> recover cycle. Cells are deterministic in
        (b, seed); a FAIL line replays with the same flags. *)
     let root =

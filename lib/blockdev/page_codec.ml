@@ -93,6 +93,8 @@ let encode codec ~page_bytes ~page cells =
   Bytes.set_int64_le img 24 crc;
   img
 
+let header_crc img = Bytes.get_int64_le img 24
+
 let decode codec ~page img =
   let len = Bytes.length img in
   if len < header_bytes then corrupt page "image shorter than the header";

@@ -56,6 +56,10 @@ val encode : 'a t -> page_bytes:int -> page:int -> 'a array -> bytes
 (** [decode codec ~page buf] is the inverse. Raises {!Corrupt_page}. *)
 val decode : 'a t -> page:int -> bytes -> 'a array
 
+(** [header_crc img] is the checksum stamped at header offset 24 of an
+    image of at least {!header_bytes} bytes. *)
+val header_crc : bytes -> int64
+
 (** FNV-1a over a byte range; the checksum the header carries. *)
 val crc64 : bytes -> pos:int -> len:int -> int64
 

@@ -333,13 +333,27 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* A file-backed durable tree in a fresh [root], its page device under
+   [profile] (the journal file stays unwrapped) and [policy] installed. *)
+let make_file_tree ~root ~b ~profile ~policy =
+  rm_rf root;
+  Unix.mkdir root 0o755;
+  let ctl = ref None in
+  let wrap d =
+    let d, c = Flaky.wrap ~profile d in
+    ctl := Some c;
+    d
+  in
+  let tree = Btree.create_file ~dir:root ~b ~wrap_dev:wrap () in
+  let pager = Btree.pager tree in
+  Pager.set_retry_policy pager policy;
+  (tree, pager, Option.get !ctl)
+
 (* Durable committed prefix: a file-backed tree mutated through
    transient and torn device faults (all within the retry budget), then
    closed and recovered from the directory's bytes alone — the
    recovered tree must hold exactly what the oracle committed. *)
 let durable_file ?(ops = 200) ~b ~seed ~root () =
-  rm_rf root;
-  Unix.mkdir root 0o755;
   let profile =
     {
       Flaky.quiet with
@@ -349,16 +363,9 @@ let durable_file ?(ops = 200) ~b ~seed ~root () =
       p_torn = 0.05;
     }
   in
-  let ctl = ref None in
-  let wrap d =
-    let d, c = Flaky.wrap ~profile d in
-    ctl := Some c;
-    d
+  let tree, pager, ctl =
+    make_file_tree ~root ~b ~profile ~policy:Retry_policy.default
   in
-  let tree = Btree.create_file ~dir:root ~b ~wrap_dev:wrap () in
-  let ctl = Option.get !ctl in
-  let pager = Btree.pager tree in
-  Pager.set_retry_policy pager Retry_policy.default;
   let rng = Rng.create seed in
   let oracle = ref [] in
   let ok = ref 0 and denied = ref 0 in
@@ -405,6 +412,67 @@ let durable_file ?(ops = 200) ~b ~seed ~root () =
     c_ok = !ok;
     c_denied = !denied;
     c_injected = counts;
+    c_retries = retries;
+    c_give_ups = give_ups;
+    c_quarantined = 0;
+    c_trips = 0;
+    c_violations = List.rev !violations;
+  }
+
+(* Give-ups on a journaled file tree: bursts longer than the retry
+   budget strike page reads, in-place applies and checkpoint fsyncs
+   while inserts mutate the tree. An insert that raised [Io_fault] gave
+   up before its commit point and must be in neither the live nor the
+   recovered tree; one that returned committed and must be in both,
+   however its applies and checkpoints fared. Once the faults clear the
+   tree answers exactly and its invariants hold. *)
+let giveup_file ?(ops = 200) ~b ~seed ~root () =
+  let profile =
+    { Flaky.quiet with Flaky.seed; p_transient = 0.05; transient_burst = 10 }
+  in
+  let policy =
+    Retry_policy.make ~max_attempts:3 ~base_ns:1_000 ~cap_ns:1_000
+      ~deadline_ns:10_000 ()
+  in
+  let tree, pager, ctl = make_file_tree ~root ~b ~profile ~policy in
+  let rng = Rng.create seed in
+  let oracle = ref [] in
+  let ok = ref 0 and denied = ref 0 in
+  let violations = ref [] in
+  let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  for _ = 1 to ops do
+    let key = Rng.int rng key_universe in
+    let value = Rng.int rng key_universe in
+    match Btree.insert tree ~key ~value with
+    | () ->
+        incr ok;
+        oracle := (key, value) :: !oracle
+    | exception Pager.Io_fault _ -> incr denied
+  done;
+  let give_ups = Pager.give_ups pager in
+  (* a denied insert gave up once, in its body; every other give-up
+     struck past a commit point *)
+  if !denied = 0 || give_ups <= !denied then
+    violate "no give-up struck both before and after a commit point — the \
+             cell proved nothing";
+  Flaky.set_enabled ctl false;
+  (try Btree.check_invariants tree with Failure m -> violate "%s" m);
+  let want = oracle_range !oracle ~lo:0 ~hi:key_universe in
+  if Btree.range tree ~lo:0 ~hi:key_universe <> want then
+    violate "live tree is not exactly the inserts that returned";
+  let retries = (Pager.stats pager).Pc_pagestore.Io_stats.retries in
+  Btree.close tree;
+  let tree2 = Btree.recover_file ~dir:root ~b () in
+  if Btree.range tree2 ~lo:0 ~hi:key_universe <> want then
+    violate "recovered tree is not exactly the inserts that returned";
+  Btree.close tree2;
+  rm_rf root;
+  {
+    c_name = "giveup-file";
+    c_ops = ops;
+    c_ok = !ok;
+    c_denied = !denied;
+    c_injected = Flaky.counts ctl;
     c_retries = retries;
     c_give_ups = give_ups;
     c_quarantined = 0;
@@ -524,6 +592,8 @@ let run_all ?ops ~b ~seed ~root () =
     latent_mem ?ops ~b ~seed ();
     giveup_mem ?ops ~b ~seed ();
     durable_file ?ops:(Option.map (fun o -> max 20 (o / 3)) ops) ~b ~seed ~root
+      ();
+    giveup_file ?ops:(Option.map (fun o -> max 20 (o / 3)) ops) ~b ~seed ~root
       ();
     breaker_store ?ops:(Option.map (fun o -> max 20 (o / 10)) ops) ~b ~seed ();
   ]

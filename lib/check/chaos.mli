@@ -15,7 +15,9 @@
       results partial (a subset of the oracle), never wrong;
     - {b give-ups} are denials, not corruption: when the policy budget
       is smaller than the burst, the operation fails typed ([Io_fault])
-      and full service resumes once the faults clear;
+      and full service resumes once the faults clear; on a journaled
+      tree a give-up past the commit point never surfaces, so exactly
+      the operations that returned are durable;
     - {b durable committed prefix}: a file-backed tree mutated under
       device faults recovers from its directory alone to exactly the
       state the oracle committed;
@@ -25,7 +27,7 @@
       fault clears.
 
     Everything is a pure function of [(b, seed)] (plus a scratch
-    directory for the file cell): a failing cell replays exactly. *)
+    directory for the file cells): a failing cell replays exactly. *)
 
 type report = {
   c_name : string;  (** cell name, e.g. ["transient-mem"] *)
@@ -79,6 +81,14 @@ val giveup_mem : ?ops:int -> b:int -> seed:int -> unit -> report
     scratch directory (recreated). *)
 val durable_file : ?ops:int -> b:int -> seed:int -> root:string -> unit -> report
 
+(** A file-backed durable tree mutated by inserts through bursts longer
+    than a small retry budget, striking reads, in-place applies and
+    checkpoint fsyncs: an insert that raised [Io_fault] is in neither
+    the live nor the recovered tree, one that returned is in both, and
+    after the faults clear the invariants hold and answers are exact.
+    [root] is a scratch directory (recreated). *)
+val giveup_file : ?ops:int -> b:int -> seed:int -> root:string -> unit -> report
+
 (** {1 The store cell — breaker under journal failure} *)
 
 (** Scripted journal-fsync failures against a {!Pc_conc.Shared_store}:
@@ -87,6 +97,6 @@ val durable_file : ?ops:int -> b:int -> seed:int -> root:string -> unit -> repor
     clears a half-open probe restores full service. *)
 val breaker_store : ?ops:int -> b:int -> seed:int -> unit -> report
 
-(** All seven cells at [(b, seed)]; [root] hosts the file cell's
+(** All eight cells at [(b, seed)]; [root] hosts the file cells'
     scratch directory. *)
 val run_all : ?ops:int -> b:int -> seed:int -> root:string -> unit -> report list

@@ -2,7 +2,6 @@ module IntMap = Map.Make (Int)
 module Point = Pc_util.Point
 module Btree = Pc_btree.Btree
 module Ext_pst3 = Pc_threesided.Ext_pst3
-module Wal = Pc_pagestore.Wal
 
 (* Points by coordinate: x, then y, then id ([Point.compare_xy]). *)
 module Xy_set = Set.Make (struct
@@ -45,13 +44,12 @@ type t = {
   writer : Mutex.t;
   b : int;
   checkpoint_every : int;
-  wal : Wal.t option;
   breaker : Breaker.t option;
   mutable commit_hook : (unit -> unit) option;
       (* fault-injection seam: runs inside the breaker-guarded commit
-         region, standing in for any write-path failure (journal fsync,
-         device fault during a rebuild). Chaos cells and the server
-         fault smoke script it; [None] in production. *)
+         region, standing in for any write-path failure (a device fault
+         during a rebuild). Chaos cells and the server fault smoke
+         script it; [None] in production. *)
 }
 
 exception Degraded of string
@@ -98,7 +96,7 @@ let () =
     | Degraded m -> Some (Printf.sprintf "Shared_store.Degraded(%s)" m)
     | _ -> None)
 
-let create ?(b = 8) ?(checkpoint_every = 512) ?wal ?breaker pts =
+let create ?(b = 8) ?(checkpoint_every = 512) ?breaker pts =
   if b < 4 then invalid_arg "Shared_store.create: b < 4";
   if checkpoint_every < 1 then
     invalid_arg "Shared_store.create: checkpoint_every < 1";
@@ -108,18 +106,11 @@ let create ?(b = 8) ?(checkpoint_every = 512) ?wal ?breaker pts =
   in
   let sorted = Array.of_seq (Seq.map snd (IntMap.to_seq base)) in
   Array.stable_sort Point.compare_xy sorted;
-  let snap0 () = build ~b ~version:0 ~checkpoint:0 ~base sorted in
-  let s0 =
-    match wal with
-    | None -> snap0 ()
-    | Some w -> Wal.with_txn (Some w) ~meta:(fun () -> "shared_store:load") snap0
-  in
   {
-    current = Atomic.make s0;
+    current = Atomic.make (build ~b ~version:0 ~checkpoint:0 ~base sorted);
     writer = Mutex.create ();
     b;
     checkpoint_every;
-    wal;
     breaker;
     commit_hook = None;
   }
@@ -217,9 +208,7 @@ let query3 t ~xl ~xr ~yb =
 (*                                                                    *)
 (* Mutations serialize on [t.writer]; each computes a fresh snapshot  *)
 (* and publishes it with one [Atomic.set] — the linearization point.  *)
-(* With a WAL attached, the mutation's journal transaction commits    *)
-(* before the publish, so every snapshot a reader can observe lies at *)
-(* or before the WAL commit point. Reclamation is the OCaml GC:       *)
+(* Reclamation is the OCaml GC:                                       *)
 (* readers still holding a superseded snapshot keep it alive, and it  *)
 (* is collected when the last one drops it — no epochs to advance,    *)
 (* no quiescence protocol.                                            *)
@@ -268,13 +257,13 @@ let maybe_checkpoint t s =
   if overlay_size s >= t.checkpoint_every then rebuild t s ~version:s.version
   else s
 
-(* The breaker guards the commit path: checkpoint rebuild + WAL txn.
-   Any exception there — journal fsync failure, device fault during a
-   rebuild, writer deadline — counts as a failure; [threshold] of them
-   in a row trip the breaker and mutations fail fast with [Degraded]
-   while the last published snapshot keeps serving readers. A no-op
-   mutation ([next] returns [None]) touches neither the journal nor the
-   breaker: it proves nothing about the write path. *)
+(* The breaker guards the commit path: the checkpoint rebuild and the
+   commit hook. Any exception there — device fault during a rebuild,
+   writer deadline, a scripted failure — counts as a failure;
+   [threshold] of them in a row trip the breaker and mutations fail
+   fast with [Degraded] while the last published snapshot keeps serving
+   readers. A no-op mutation ([next] returns [None]) touches neither the
+   rebuild nor the breaker: it proves nothing about the write path. *)
 let guard_commit t f =
   let f () =
     (match t.commit_hook with None -> () | Some h -> h ());
@@ -293,7 +282,7 @@ let guard_commit t f =
           Breaker.failure br;
           raise e)
 
-let publish t ~meta next =
+let publish t next =
   Mutex.protect t.writer (fun () ->
       let s = Atomic.get t.current in
       match next s with
@@ -301,13 +290,7 @@ let publish t ~meta next =
       | Some s' ->
           let s' =
             guard_commit t (fun () ->
-                let s' =
-                  maybe_checkpoint t { s' with version = s.version + 1 }
-                in
-                (match t.wal with
-                | None -> ()
-                | Some w -> Wal.with_txn (Some w) ~meta (fun () -> ()));
-                s')
+                maybe_checkpoint t { s' with version = s.version + 1 })
           in
           Atomic.set t.current s';
           true)
@@ -333,9 +316,7 @@ let with_del s (p : Point.t) =
 
 let insert t (p : Point.t) =
   ignore
-    (publish t
-       ~meta:(fun () -> Printf.sprintf "shared_store:insert %d" p.id)
-       (fun s ->
+    (publish t (fun s ->
          (* upsert by id: a still-visible base point with this id is
             shadowed — record it dead so queries never count both *)
          match IntMap.find_opt p.id s.base with
@@ -344,9 +325,7 @@ let insert t (p : Point.t) =
          | _ -> Some (with_add s p)))
 
 let delete t id =
-  publish t
-    ~meta:(fun () -> Printf.sprintf "shared_store:delete %d" id)
-    (fun s ->
+  publish t (fun s ->
       match IntMap.find_opt id s.adds with
       | Some p -> Some (without_add s p)
       | None -> (
@@ -360,15 +339,7 @@ let checkpoint_now t =
       if overlay_size s = 0 then ()
       else begin
         let s' =
-          guard_commit t (fun () ->
-              let s' = rebuild t s ~version:(s.version + 1) in
-              (match t.wal with
-              | None -> ()
-              | Some w ->
-                  Wal.with_txn (Some w)
-                    ~meta:(fun () -> "shared_store:checkpoint")
-                    (fun () -> ()));
-              s')
+          guard_commit t (fun () -> rebuild t s ~version:(s.version + 1))
         in
         Atomic.set t.current s'
       end)

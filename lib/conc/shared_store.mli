@@ -21,10 +21,10 @@
     {b Reclamation} is snapshot-on-checkpoint over the GC: a superseded
     snapshot stays alive exactly as long as some reader still holds it,
     and is collected afterwards — there are no epochs to advance and no
-    quiescence to wait for. With [?wal], every mutation and checkpoint
-    appends a committed journal transaction {e before} its snapshot is
-    published, so any state a reader can observe lies at or before the
-    WAL commit point.
+    quiescence to wait for.
+
+    The store is in memory: nothing is journaled, and a checkpoint is an
+    in-memory rebuild, not a durability barrier.
 
     Query semantics match the differential oracle: points are upserted
     by [id]; [krange] returns sorted [(key, value)] pairs (duplicates
@@ -44,8 +44,9 @@ type stats = {
 
 exception Degraded of string
 (** Raised by mutating entry points while the store's circuit breaker
-    is open: the write path has been failing (journal fsync errors,
-    device faults during rebuild) and the store is serving read-only
+    is open: the write path has been failing (device faults during a
+    rebuild, or failures scripted through {!set_commit_hook}) and the
+    store is serving read-only
     from the last published snapshot. The server maps this to a typed
     [err degraded] reply. See {!Breaker}. *)
 
@@ -54,24 +55,23 @@ exception Degraded of string
     as {!insert}'s upsert would leave it. [b] is the page
     capacity of the underlying structures (default 8, min 4);
     [checkpoint_every] (default 512) bounds the overlay size before a
-    rebuild; [wal] journals mutations and checkpoints; [breaker] guards
+    rebuild; [breaker] guards
     the commit path — consecutive write-path failures trip it, mutations
     then raise {!Degraded} until a half-open probe succeeds, and readers
     are never affected. Without [breaker] (the default) write-path
     exceptions propagate on every call, as before. *)
 val create :
-  ?b:int -> ?checkpoint_every:int -> ?wal:Pc_pagestore.Wal.t ->
-  ?breaker:Breaker.t -> Pc_util.Point.t list -> t
+  ?b:int -> ?checkpoint_every:int -> ?breaker:Breaker.t ->
+  Pc_util.Point.t list -> t
 
 val breaker : t -> Breaker.t option
 
 (** [set_commit_hook t h] installs a fault-injection seam on the commit
     path: [h] runs inside the breaker-guarded region of every mutation
-    and checkpoint, standing in for any write-path failure (a journal
-    fsync error, a device fault during a rebuild). An exception it
-    raises counts as a commit failure toward the breaker. The chaos
-    sweep and the server fault smoke script it; leave it [None] in
-    production. *)
+    and checkpoint, standing in for any write-path failure (a device
+    fault during a rebuild). An exception it raises counts as a commit
+    failure toward the breaker. The chaos sweep and the server fault
+    smoke script it; leave it [None] in production. *)
 val set_commit_hook : t -> (unit -> unit) option -> unit
 
 (** [degraded t] — the breaker is open: mutations fail fast with
@@ -107,7 +107,9 @@ val insert : t -> Pc_util.Point.t -> unit
 (** [delete t id] removes the point with [id]; [false] if absent. *)
 val delete : t -> int -> bool
 
-(** [checkpoint_now t] forces a rebuild if the overlay is non-empty. *)
+(** [checkpoint_now t] forces a rebuild if the overlay is non-empty: an
+    in-memory checkpoint, which persists nothing. It is the server
+    drain's "durability barrier". *)
 val checkpoint_now : t -> unit
 
 (** Structural invariants of the current snapshot: the base structures,

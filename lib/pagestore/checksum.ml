@@ -1,19 +1,19 @@
-(* Page fingerprints for the durability layer (see DESIGN.md §12).
+(* Page fingerprints for value pages (see DESIGN.md §12).
 
-   The simulated disk stores OCaml values, not byte images, so the
-   "checksum" is a deterministic structural fingerprint: an FNV-1a fold
-   over the page length and a depth-limited traversal of each record.
-   The traversal visits immediates, string bytes and block shapes down
-   to [max_depth] levels and then stops, so it never descends into
-   handles a record might carry (e.g. a B-tree handle inside an
-   [Ext_range] descriptor reaches its pager only below the cut-off) —
-   the fingerprint depends only on the page's own payload, never on
-   mutable machinery behind it.
+   A pager without a block-device backend stores OCaml values, not byte
+   images, so a page's integrity value is a deterministic structural
+   fingerprint: an FNV-1a fold over the page length and a depth-limited
+   traversal of each record. The traversal visits immediates, string
+   bytes and block shapes down to [max_depth] levels and then stops, so
+   it never descends into handles a record might carry (e.g. a B-tree
+   handle inside an [Ext_range] descriptor reaches its pager only below
+   the cut-off) — the fingerprint depends only on the page's own
+   payload, never on mutable machinery behind it.
 
    This detects every corruption the simulator can produce: a torn
    write changes the page length (and the record shapes), and the
-   explicit rot hook invalidates the stored value directly. It stands
-   in for a CRC-64 of the page image on a real device. *)
+   explicit rot hook invalidates the stored value directly. Byte pages
+   carry [Page_codec]'s crc64 instead and are never fingerprinted. *)
 
 let max_depth = 3
 
@@ -56,6 +56,6 @@ let payload (p : Obj.t array option) : int64 =
       Array.iter (fun c -> h := fp max_depth !h c) arr;
       !h
 
-(** An intentionally-invalid sibling of [c] — used to model a record
-    whose transfer was interrupted mid-write. *)
+(** An intentionally-invalid sibling of [c] — the rot hook's
+    ([Pager.corrupt_page]) stored integrity value. *)
 let spoil (c : int64) : int64 = Int64.logxor c 0x5A5A5A5AL

@@ -87,8 +87,12 @@ let trimmed s lo =
   String.length s - lo >= String.length stamp
   && String.sub s lo (String.length stamp) = stamp
 
-let commit_of_disk (c : Disk_format.commit) : Wal.commit =
-  { Wal.c_meta = c.Disk_format.dc_meta; c_tag = c.dc_tag; c_next = c.dc_next }
+(* A page image as the journal's images hold it: decoded, with its
+   validity bit; bytes that do not decode are an invalid empty page. *)
+let decoded p ~page img =
+  match p.p_decode ~page img with
+  | payload -> (Some payload, true)
+  | exception _ -> (Some [||], false)
 
 (* Pages as found in one participant's page file. A page that is
    all-zero was never reached by any write and is absent; a trimmed
@@ -108,10 +112,9 @@ let load_pages p path =
           (* a short tail: the page never finished transferring *)
           Some ((p.p_idx, page), (Some [||], false))
         else
-          let img = Bytes.of_string (String.sub raw lo len) in
-          match p.p_decode ~page img with
-          | payload -> Some ((p.p_idx, page), (Some payload, true))
-          | exception _ -> Some ((p.p_idx, page), (Some [||], false)))
+          Some
+            ( (p.p_idx, page),
+              decoded p ~page (Bytes.of_string (String.sub raw lo len)) ))
       (List.init n Fun.id)
   end
 
@@ -126,35 +129,25 @@ let load_image ~dir ~parts =
         match Disk_format.parse_jrec payload with
         | None -> None (* frame checksummed but the payload is malformed *)
         | Some r ->
-            let find_part idx = List.find_opt (fun p -> p.p_idx = idx) parts in
-            let dk_payload, dk_ok =
+            let j_payload, j_ok =
               match r.Disk_format.dj_image with
               | None -> (None, true) (* freed page or pure-commit record *)
               | Some img -> (
-                  match find_part r.dj_pidx with
+                  match List.find_opt (fun p -> p.p_idx = r.dj_pidx) parts with
                   | None -> (Some [||], false)
-                  | Some p -> (
-                      match p.p_decode ~page:r.dj_page img with
-                      | payload -> (Some payload, true)
-                      | exception _ -> (Some [||], false)))
+                  | Some p -> decoded p ~page:r.dj_page img)
             in
             Some
               {
-                Wal.dk_txn = r.dj_txn;
-                dk_pidx = r.dj_pidx;
-                dk_page = r.dj_page;
-                dk_payload;
-                dk_ok;
-                dk_commit = Option.map commit_of_disk r.dj_commit;
+                Wal.j_txn = r.dj_txn;
+                j_pidx = r.dj_pidx;
+                j_page = r.dj_page;
+                j_payload;
+                j_ok;
+                j_commit = r.dj_commit;
               })
       raw_journal
   in
-  let super =
-    match raw_super with
-    | None -> None
-    | Some payload -> (
-        match Disk_format.parse_super payload with
-        | None | Some None -> None
-        | Some (Some c) -> Some (commit_of_disk c))
-  in
+  (* a missing or malformed superblock reads as no checkpoint *)
+  let super = Option.join (Option.bind raw_super Disk_format.parse_super) in
   Wal.image_of_disk ~pages ~journal ~super

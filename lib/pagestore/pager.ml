@@ -8,16 +8,19 @@ exception Corrupt_page of { page : int }
 exception Page_overflow of { page : int; len : int; capacity : int }
 
 (* [Damaged] only appears on pagers rebuilt by {!attach_recovered}: a
-   page whose checksum failed even after journal redo. Reading it is a
+   page still invalid after journal redo. Reading it is a
    [Corrupt_page] (or a quarantined skip in degraded mode); overwriting
    it heals it. *)
 type 'a slot = Live of 'a array | Freed | Damaged
 
-(* Durability state of a pager enrolled in a {!Wal}: the checksum side
-   table (committed content only), the quarantine set for degraded
-   reads, and the open transaction's first-touch undo log. *)
+(* Durability state of a pager enrolled in a {!Wal}: its enrollment
+   index, the integrity side table (committed content only: a value
+   page's fingerprint, or the crc64 in the header of the image a byte
+   page last had written), the quarantine set for degraded reads, and
+   the open transaction's first-touch undo log. *)
 type 'a dur = {
   wal : Wal.t;
+  idx : int;
   crcs : (int, int64) Hashtbl.t;
   quarantined : (int, unit) Hashtbl.t;
   undo : (int, 'a slot_opt) Hashtbl.t;
@@ -31,10 +34,12 @@ type 'a dur = {
 and 'a slot_opt = 'a slot option
 
 (* A block-device backend: pages round-trip through [codec] to raw
-   bytes on [dev]. The slots array stays as an in-memory mirror (WAL
-   snapshots, rollback and invariants need it), but read misses decode
-   off the device and every charged write lands on it encoded — so the
-   sim's I/O counts are untouched while the bytes become real. *)
+   bytes on [dev]. The slots array stays as an in-memory mirror
+   (journal records, rollback and invariants need it), but read misses
+   decode off the device — a durable pager's checked once, against the
+   crc64 committed for the page — and every charged write lands on it
+   encoded, so the sim's I/O counts are untouched while the bytes
+   become real. *)
 type 'a backend = { dev : Bdev.t; codec : 'a Codec.t }
 
 type 'a t = {
@@ -157,6 +162,10 @@ let fault_ev t ~page = ev t Pc_obs.Obs.Fault ~page
 let encode_page b ~page records =
   Codec.encode b.codec ~page_bytes:b.dev.Bdev.page_bytes ~page records
 
+(* A value page's integrity value; a byte page's is its image's crc64. *)
+let fingerprint records =
+  Checksum.payload (Some (Obj.magic records : Obj.t array))
+
 (* The one retry loop: every device transfer runs through it, and
    [transfer ()] performs the transfer once. A [Transient]/[Stalled]
    device error, whether a real device's or a fault plan's burst, is
@@ -213,18 +222,15 @@ let retrying t ~page ~op ~bill policy transfer =
 (* The charged device write, materialized: encode the page and put it on
    the device. Reissuing the whole page also heals a torn write: the
    tear left half the sectors stale, and the reissue rewrites all of
-   them. *)
-let dev_put t ~page records =
-  match t.bin with
-  | None -> ()
-  | Some b ->
-      let bytes =
-        timed t ~phase:"codec.encode" ~page (fun () ->
-            encode_page b ~page records)
-      in
-      retrying t ~page ~op:"write" ~bill:`Write t.retry (fun () ->
-          timed t ~phase:"dev.write" ~page (fun () ->
-              b.dev.Bdev.write_page page bytes))
+   them. Returns the crc64 the image carries in its header. *)
+let dev_put t b ~page records =
+  let bytes =
+    timed t ~phase:"codec.encode" ~page (fun () -> encode_page b ~page records)
+  in
+  retrying t ~page ~op:"write" ~bill:`Write t.retry (fun () ->
+      timed t ~phase:"dev.write" ~page (fun () ->
+          b.dev.Bdev.write_page page bytes));
+  Codec.header_crc bytes
 
 let dev_put_torn t ~page records =
   match t.bin with
@@ -254,35 +260,43 @@ let dev_flush t =
 
 (* A durable pager defers in-place device writes to the commit's apply
    step, so for a page the open transaction has already touched the
-   device still holds the pre-transaction image — the slots mirror is
-   the only truth until commit. *)
-let dirty_in_open_txn t id =
+   device still holds the pre-transaction image; so does a page whose
+   apply tore or was refused, until the journal re-applies it. For such
+   a page the slots mirror is the only truth. *)
+let in_open_txn d id = d.in_txn && Hashtbl.mem d.undo id
+
+let mirror_only t id =
   match t.dur with
-  | Some d -> d.in_txn && Hashtbl.mem d.undo id
+  | Some d -> in_open_txn d id || Wal.unclean d.wal ~idx:d.idx ~page:id
   | None -> false
 
-(* A page's content as the device holds it. Without a backend the
-   mirror IS the storage; pages dirtied by the open transaction are
-   served from the mirror too (their device image is stale until the
-   commit applies it). Otherwise the device bytes are read and decoded;
-   bytes that do not decode raise [Codec.Corrupt_page]. *)
+(* A page's content as the device holds it, [None] if it cannot be
+   trusted. Without a backend the mirror IS the storage; a page whose
+   device image is stale is served from the mirror too. Otherwise the
+   device bytes are read and decoded, unless their header crc64 is not
+   the one committed for the page: a lost write, caught by the byte
+   page's one integrity check. Bytes that do not decode raise
+   [Codec.Corrupt_page]. *)
 let stored t id mirror =
   match (mirror, t.bin) with
-  | Some _, Some b when not (dirty_in_open_txn t id) ->
+  | Some _, Some b when not (mirror_only t id) -> (
       let bytes =
         timed t ~phase:"dev.read" ~page:id (fun () -> b.dev.Bdev.read_page id)
       in
-      Some
-        (timed t ~phase:"codec.decode" ~page:id (fun () ->
-             Codec.decode b.codec ~page:id bytes))
+      match Option.bind t.dur (fun d -> Hashtbl.find_opt d.crcs id) with
+      | Some crc when crc <> Codec.header_crc bytes -> None
+      | _ ->
+          Some
+            (timed t ~phase:"codec.decode" ~page:id (fun () ->
+                 Codec.decode b.codec ~page:id bytes)))
   | _ -> mirror
 
 (* One charged device read of page [id]; a plan may deny it before the
    charge. [mirror] is the slot's in-memory records, [None] for a page
    recovery marked damaged. The result is [None] when the page cannot
-   be read back intact (a damaged slot, undecodable bytes, a [Permanent]
-   device error, or any device error with no retry policy installed) —
-   never garbage. A plan's transient burst strikes before each attempt,
+   be read back intact (a damaged slot, a lost write, undecodable bytes,
+   a [Permanent] device error, or any device error with no retry policy
+   installed) — never garbage. A plan's transient burst strikes before each attempt,
    with the plan's [retries] as a zero-backoff budget. *)
 let fetch t id mirror =
   let decision =
@@ -342,10 +356,23 @@ let ensure_capacity t id =
 
 (* --- durability layer (see wal.ml and DESIGN.md §12) ---------------- *)
 
+(* A device operation past the commit point (an in-place apply, a
+   checkpoint's fsync or superblock write): the journal already holds
+   the transaction, so a failure is counted — by the retry loop's
+   [Fault] events and give-up, or by one [Fault] event if no policy
+   handled it — and reported as [false], never raised. *)
+let absorbed t ~page f =
+  match f () with
+  | () -> true
+  | exception Io_fault _ -> false
+  | exception Bdev.Device_error _ ->
+      fault_ev t ~page;
+      false
+
 (* One guarded durability write (journal record, in-place apply or
    superblock), charged like any device write but reported as an
    outcome: the [Wal] decides what a tear or denial means at each
-   commit phase. *)
+   commit phase. A device that refuses the write counts as a denial. *)
 let nop () = ()
 
 let dev_write_outcome t ~page ~kind ?(on_ok = nop) ?(on_torn = nop) () =
@@ -356,8 +383,7 @@ let dev_write_outcome t ~page ~kind ?(on_ok = nop) ?(on_torn = nop) () =
   match plan_write t with
   | `Proceed ->
       charge ();
-      on_ok ();
-      Wal.W_ok
+      if absorbed t ~page on_ok then Wal.W_ok else Wal.W_deny
   | `Deny ->
       fault_ev t ~page;
       Wal.W_deny
@@ -371,6 +397,7 @@ let enroll t wal ~idx ~seed_crcs =
   let d =
     {
       wal;
+      idx;
       crcs = seed_crcs;
       quarantined = Hashtbl.create 4;
       undo = Hashtbl.create 16;
@@ -382,6 +409,9 @@ let enroll t wal ~idx ~seed_crcs =
     }
   in
   t.dur <- Some d;
+  let slot page =
+    if page < 0 || page >= Array.length t.slots then None else t.slots.(page)
+  in
   Wal.enroll wal
     {
       pt_idx = idx;
@@ -393,12 +423,10 @@ let enroll t wal ~idx ~seed_crcs =
           else []);
       pt_snapshot =
         (fun page ->
-          if page < 0 || page >= Array.length t.slots then None
-          else
-            match t.slots.(page) with
-            | Some (Live records) ->
-                Some (Obj.magic (Array.copy records) : Obj.t array)
-            | Some Freed | Some Damaged | None -> None);
+          match slot page with
+          | Some (Live records) ->
+              Some (Obj.magic (Array.copy records) : Obj.t array)
+          | Some Freed | Some Damaged | None -> None);
       pt_journal_write =
         (* the journal bytes themselves are appended by the Wal's store;
            this is only the charge and the fault decision *)
@@ -406,31 +434,29 @@ let enroll t wal ~idx ~seed_crcs =
       pt_apply_write =
         (fun page ->
           (* the in-place apply is the write that reaches the page's own
-             device location: committed content, freed pages trimmed *)
-          let content () =
-            if page < 0 || page >= Array.length t.slots then None
-            else t.slots.(page)
-          in
-          let on_ok () =
-            match content () with
-            | Some (Live records) -> dev_put t ~page records
-            | Some Freed -> dev_trim t ~page
-            | Some Damaged | None -> ()
-          in
-          let on_torn () =
-            match content () with
-            | Some (Live records) -> dev_put_torn t ~page records
-            | Some Freed | Some Damaged | None -> ()
-          in
-          dev_write_outcome t ~page ~kind:Pc_obs.Obs.Write ~on_ok ~on_torn ());
+             device location: committed content, freed pages trimmed.
+             It also records the page's integrity value: a value page's
+             fingerprint, or the crc64 of the byte image once that image
+             is on the device *)
+          Hashtbl.remove d.crcs page;
+          let kind = Pc_obs.Obs.Write in
+          match (slot page, t.bin) with
+          | Some (Live records), None ->
+              Hashtbl.replace d.crcs page (fingerprint records);
+              dev_write_outcome t ~page ~kind ()
+          | Some (Live records), Some b ->
+              dev_write_outcome t ~page ~kind
+                ~on_ok:(fun () ->
+                  Hashtbl.replace d.crcs page (dev_put t b ~page records))
+                ~on_torn:(fun () -> dev_put_torn t ~page records)
+                ()
+          | Some Freed, _ ->
+              dev_write_outcome t ~page ~kind
+                ~on_ok:(fun () -> dev_trim t ~page)
+                ()
+          | (Some Damaged | None), _ -> dev_write_outcome t ~page ~kind ());
       pt_super_write =
         (fun () -> dev_write_outcome t ~page:(-1) ~kind:Pc_obs.Obs.Checkpoint ());
-      pt_set_crc =
-        (fun page crc ->
-          if page >= 0 && page < Array.length t.slots then
-            match t.slots.(page) with
-            | Some (Live _) -> Hashtbl.replace d.crcs page crc
-            | _ -> Hashtbl.remove d.crcs page);
       pt_rollback =
         (fun () ->
           if d.in_txn then begin
@@ -451,17 +477,21 @@ let enroll t wal ~idx ~seed_crcs =
           d.in_txn <- false);
       pt_next_id = (fun () -> t.next_id);
       pt_io_fault = (fun ~page ~op -> Io_fault { page; op });
-      pt_torn = (fun ~page ~len -> Torn_write { page; kept = len / 2; len });
+      pt_torn =
+        (fun ~page ->
+          let len =
+            match slot page with Some (Live r) -> Array.length r | _ -> 0
+          in
+          Torn_write { page; kept = len / 2; len });
       pt_encode =
         Option.map
           (fun b page ->
-            if page < 0 || page >= Array.length t.slots then None
-            else
-              match t.slots.(page) with
-              | Some (Live records) -> Some (encode_page b ~page records)
-              | Some Freed | Some Damaged | None -> None)
+            match slot page with
+            | Some (Live records) -> Some (encode_page b ~page records)
+            | Some Freed | Some Damaged | None -> None)
           t.bin;
       pt_sync = (fun () -> dev_flush t);
+      pt_absorb = (fun ~page f -> absorbed t ~page f);
     }
 
 (* Every mutation of a durable pager must sit inside a [Wal.with_txn]:
@@ -536,10 +566,12 @@ let charge_write t id ~op ~records =
       ev t Pc_obs.Obs.Write ~page:id;
       fault_ev t ~page:id;
       raise (Torn_write { page = id; kept; len })
-  | `Proceed ->
+  | `Proceed -> (
       t.stats.writes <- t.stats.writes + 1;
       ev t Pc_obs.Obs.Write ~page:id;
-      dev_put t ~page:id records
+      match t.bin with
+      | Some b -> ignore (dev_put t b ~page:id records)
+      | None -> ())
 
 let alloc t records =
   sync t;
@@ -566,28 +598,27 @@ let check_writable t id op =
   | Some Freed -> invalid_arg (Printf.sprintf "Pager.%s: page %d was freed" op id)
   | None -> invalid_arg (Printf.sprintf "Pager.%s: unknown page %d" op id)
 
-(* Checksum verdict for a device read off a durable pager. Committed
-   content must match the side table; pages touched by the open
-   transaction are exempt (their checksum is computed at commit). *)
+(* Fingerprint verdict for a read off a durable value page (byte pages
+   are checked in [stored]). Committed content must match the side
+   table; pages touched by the open transaction are exempt (their
+   fingerprint is taken when the commit applies them). *)
 let read_verdict t id records =
   match t.dur with
-  | None -> `Ok
-  | Some d -> (
-      if d.in_txn && Hashtbl.mem d.undo id then `Ok
-      else
-        match Hashtbl.find_opt d.crcs id with
-        | Some crc ->
-            let actual =
-              timed t ~phase:"checksum.verify" ~page:id (fun () ->
-                  Checksum.payload (Some (Obj.magic records : Obj.t array)))
-            in
-            if actual <> crc then `Corrupt else `Ok
-        | None -> `Ok)
+  | Some d when Option.is_none t.bin && not (in_open_txn d id) -> (
+      match Hashtbl.find_opt d.crcs id with
+      | Some crc ->
+          let actual =
+            timed t ~phase:"checksum.verify" ~page:id (fun () ->
+                fingerprint records)
+          in
+          if actual <> crc then `Corrupt else `Ok
+      | None -> `Ok)
+  | _ -> `Ok
 
-(* A read that checksums wrong (or hits a [Damaged] slot) never returns
-   garbage: it raises [Corrupt_page], or — in degraded mode — the page
-   is quarantined, the result is marked partial, and the caller gets an
-   empty page to skip. *)
+(* A read that fails its integrity check (or hits a [Damaged] slot)
+   never returns garbage: it raises [Corrupt_page], or — in degraded
+   mode — the page is quarantined, the result is marked partial, and
+   the caller gets an empty page to skip. *)
 let corrupt_read t id =
   match t.dur with
   | Some d when d.degraded ->
@@ -729,14 +760,16 @@ let attach_recovered (r : Wal.recovered) ~idx ?cache_capacity ?pool ?obs
           let arr = rehydrate (Obj.magic (Array.copy arr) : 'a array) in
           t.slots.(page) <- Some (Live arr);
           t.live <- t.live + 1;
+          (* a byte page materializes the journal redo on the device —
+             recovery's answer must be readable from the bytes alone
+             next time — and is checked against the image it wrote *)
           Hashtbl.replace crcs page
-            (Checksum.payload (Some (Obj.magic arr : Obj.t array)));
-          (* materialize the journal redo on the device: recovery's
-             answer must be readable from the bytes alone next time *)
-          dev_put t ~page arr
+            (match t.bin with
+            | Some b -> dev_put t b ~page arr
+            | None -> fingerprint arr)
       | Some _ ->
-          (* checksum failed even after redo: quarantinable, never
-             silently readable (the device keeps the corrupt bytes) *)
+          (* invalid even after redo: quarantinable, never silently
+             readable (the device keeps the corrupt bytes) *)
           t.slots.(page) <- Some Damaged;
           t.live <- t.live + 1
       | None ->
@@ -769,8 +802,8 @@ let quarantined_pages t =
       |> List.sort compare
   | None -> []
 
-(* Test hook: rot the stored checksum so the next uncached read of
-   [page] detects corruption. *)
+(* Test hook: rot the stored integrity value so the next uncached read
+   of [page] detects corruption. *)
 let corrupt_page t page =
   match t.dur with
   | None -> invalid_arg "Pager.corrupt_page: pager has no durability layer"

@@ -35,9 +35,11 @@ exception Torn_write of { page : int; kept : int; len : int }
     partial-write hazard a real disk presents. *)
 
 exception Corrupt_page of { page : int }
-(** Raised when a page read fails its checksum (or hits a page that
-    recovery marked damaged) on a pager with a durability layer: the
-    pager never silently returns garbage. In degraded mode (see
+(** Raised when a page read fails its integrity check (or hits a page
+    that recovery marked damaged): the pager never silently returns
+    garbage. A durable value page is checked against its committed
+    fingerprint; a byte page must decode and, when durable, carry the
+    crc64 committed for it. In degraded mode (see
     {!set_degraded}) the page is quarantined instead and reads of it
     return an empty page while {!consume_partial} reports the skip. *)
 
@@ -52,7 +54,9 @@ exception Page_overflow of { page : int; len : int; capacity : int }
     without a backend; what changes is that a read miss really decodes
     the device's bytes (a torn sector or flipped byte surfaces as
     {!Corrupt_page}, never garbage) and every charged write really
-    lands encoded on the device. *)
+    lands encoded on the device. A durable pager checks each read once,
+    comparing the image's header crc64 with the one committed for the
+    page, so a stale image (a lost write) is {!Corrupt_page} too. *)
 type 'a backend = {
   dev : Pc_blockdev.Block_device.t;
   codec : 'a Pc_blockdev.Page_codec.t;
@@ -72,8 +76,8 @@ type 'a backend = {
 
     [wal] enrolls the pager in a write-ahead journal (see {!Wal} and
     DESIGN.md §12): every mutation must then happen inside
-    {!Wal.with_txn}, reads verify page checksums, and the whole
-    structure becomes crash-recoverable. Without [wal] nothing changes —
+    {!Wal.with_txn}, reads verify each page's integrity value, and the
+    whole structure becomes crash-recoverable. Without [wal] nothing changes —
     I/O counts are byte-identical to older trees. *)
 val create :
   ?cache_capacity:int ->
@@ -94,8 +98,8 @@ val wal : 'a t -> Wal.t option
 
 (** [attach_recovered r ~idx ~page_capacity ()] rebuilds the pager with
     enrollment index [idx] from a {!Wal.recover} result: recovered pages
-    become live (with their checksums seeded), freed pages stay freed,
-    and pages whose checksum failed even after redo become {e damaged} —
+    become live (with their integrity values seeded), freed pages stay
+    freed, and pages still invalid after redo become {e damaged} —
     readable only as {!Corrupt_page} or a degraded skip. The pager is
     enrolled in [r.r_wal]; attach a structure's pagers in the same order
     they were created.
@@ -104,7 +108,7 @@ val wal : 'a t -> Wal.t option
     structure uses to rebind embedded handles (e.g. a sub-tree's pager,
     which on a real disk would be serialized as a root page id) to the
     recovered pagers. It must be value-preserving up to such handles, and
-    checksums are re-seeded from its output. *)
+    integrity values are re-seeded from its output. *)
 val attach_recovered :
   Wal.recovered ->
   idx:int ->
@@ -212,7 +216,7 @@ val drop_cache : 'a t -> unit
 (** {1 Degraded reads}
 
     Opt-in quarantine for corrupt pages: with [set_degraded t true], a
-    checksum mismatch no longer raises — the page joins the quarantine
+    failed integrity check no longer raises — the page joins the quarantine
     set, reads of it return an empty page (so read-only queries skip the
     lost records), and the partial-result marker sticks until consumed.
     Requires a durability layer. *)
@@ -227,9 +231,9 @@ val consume_partial : 'a t -> bool
 
 val quarantined_pages : 'a t -> int list
 
-(** [corrupt_page t id] rots page [id]'s stored checksum and drops its
-    cached frame, so the next read detects corruption — the test hook
-    behind the {!Corrupt_page} demonstrations. *)
+(** [corrupt_page t id] rots page [id]'s stored integrity value and
+    drops its cached frame, so the next read detects corruption — the
+    test hook behind the {!Corrupt_page} demonstrations. *)
 val corrupt_page : 'a t -> int -> unit
 
 (** Distribution of reissues per transfer that hit transient errors
@@ -270,9 +274,10 @@ val give_ups : 'a t -> int
 (** {1 Wall-clock phase latency}
 
     When the obs handle carries a clock ({!Pc_obs.Obs.set_clock}), every
-    device transfer, codec round-trip, checksum verification and fsync
-    is timed into a per-phase histogram of nanoseconds — independent of
-    the sink, so the histograms fill even with tracing off. With the
+    device transfer, codec round-trip, value-page fingerprint check
+    ([checksum.verify]) and fsync is timed into a per-phase histogram of
+    nanoseconds — independent of the sink, so the histograms fill even
+    with tracing off. With the
     clock off (the default) nothing is measured and the instrumented
     paths reduce to one option match. *)
 

@@ -25,7 +25,7 @@ type t = {
   stop_flag : bool Atomic.t;
   draining : bool Atomic.t;
       (* graceful shutdown: stop accepting, finish in-flight requests,
-         close sessions with a final frame, fsync stores, exit *)
+         close sessions with a final frame, checkpoint stores, exit *)
   stores : (string, Shared_store.t) Hashtbl.t;
   registry : Mutex.t; (* guards [stores] *)
   mutable workers : unit Domain.t array;
@@ -153,7 +153,8 @@ let eval_words t session words =
       (* the serve-metrics /quit precedent: loopback-only service, any
          client may stop it — what the CI smoke test uses. Shutdown is a
          drain: workers stop accepting, in-flight sessions get a final
-         frame after their current request, [wait] then fsyncs stores. *)
+         frame after their current request, [wait] then checkpoints
+         stores. *)
       Atomic.set t.draining true;
       ("ok shutting down", false)
   | [] -> ("err empty request", true)
@@ -353,10 +354,10 @@ let wait t =
   Array.iter Domain.join t.workers;
   t.workers <- [||];
   (try Unix.close t.sock with Unix.Unix_error _ -> ());
-  (* the drain's durability barrier: fold each store's overlay into a
-     fresh checkpoint, which journals and fsyncs where a WAL is
-     attached. A store whose breaker is open can't commit — skip it;
-     its WAL already holds everything that was ever acknowledged. *)
+  (* the drain's barrier: fold each store's overlay into a fresh
+     in-memory checkpoint. A store whose breaker is open can't commit —
+     skip it; its last snapshot already holds everything that was ever
+     acknowledged. *)
   Mutex.protect t.registry (fun () ->
       Hashtbl.iter
         (fun _ s ->

@@ -40,7 +40,8 @@
     a mutation may still have applied — the reply says so). [shutdown]
     drains: workers stop accepting, in-flight sessions get one final
     frame after their current request, and {!wait} checkpoints every
-    store as the durability barrier before returning. *)
+    store before returning. That "durability barrier" is an in-memory
+    checkpoint: the served stores persist nothing. *)
 
 type t
 
@@ -54,7 +55,7 @@ type t
     [request_deadline] (seconds) is the soft per-request deadline
     (default: none); [make_store] overrides how [open] builds a missing
     store (default: an empty {!Pc_conc.Shared_store} with a fresh
-    circuit breaker and no WAL). *)
+    circuit breaker). *)
 val start :
   ?port:int ->
   ?workers:int ->

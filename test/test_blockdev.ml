@@ -1,14 +1,16 @@
 (* Block-device subsystem tests: page-codec round trips (property-based),
    corruption corpora (byte flips, truncation, torn sectors — typed
    errors, never garbage), device semantics shared by the memory and file
-   backends, journal-file framing, and the file-backed structure
-   acceptance round trips. *)
+   backends, journal-file framing, the file-backed structure acceptance
+   round trips, lost-write detection and the post-commit failure
+   contract. *)
 
 open Pathcaching
 module Bdev = Pc_blockdev.Block_device
 module File_dev = Pc_blockdev.File_dev
 module Codec = Pc_blockdev.Page_codec
 module Wal_file = Pc_blockdev.Wal_file
+module Retry_policy = Pc_pagestore.Retry_policy
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -358,6 +360,140 @@ let test_in_txn_eviction_reads_mirror () =
     (List.sort compare (Btree.to_list t2));
   Btree.close t2
 
+(* A stale but valid page image — a write the device acknowledged and
+   then lost — still decodes, so only the committed crc64 can tell it
+   from the page's current image. *)
+let test_lost_write_caught () =
+  let dir = fresh_dir "lost" in
+  let t = Btree.create_file ~dir ~b:8 () in
+  for i = 1 to 50 do
+    Btree.insert t ~key:i ~value:i
+  done;
+  let dev = Option.get (Pager.device (Btree.pager t)) in
+  let pages = Pager.pages_in_use (Btree.pager t) in
+  let before = Array.init pages dev.Bdev.read_page in
+  Btree.insert t ~key:51 ~value:51;
+  let lost = ref 0 in
+  Array.iteri
+    (fun page old ->
+      if dev.Bdev.read_page page <> old then begin
+        dev.Bdev.write_page page old;
+        incr lost
+      end)
+    before;
+  check_bool "the insert rewrote some page" true (!lost > 0);
+  (match Btree.range t ~lo:0 ~hi:100 with
+  | _ -> Alcotest.fail "a lost write was read back as the committed page"
+  | exception Pager.Corrupt_page _ -> ());
+  Btree.close t
+
+(* A device whose [op] fails [Transient] while [failing] is set. *)
+let failing_dev failing ~op (d : Bdev.t) =
+  let fail page =
+    if !failing then
+      Bdev.fail_class Bdev.Transient d.Bdev.name op page "injected EIO"
+  in
+  {
+    d with
+    Bdev.read_page =
+      (fun page ->
+        if op = "read_page" then fail page;
+        d.Bdev.read_page page);
+    write_page =
+      (fun page b ->
+        if op = "write_page" then fail page;
+        d.Bdev.write_page page b);
+    flush =
+      (fun () ->
+        if op = "flush" then fail (-1);
+        d.Bdev.flush ());
+  }
+
+(* Regression: a refused in-place apply comes after the commit point, so
+   the insert returns, reads of the page come from the committed copy,
+   and the transaction's undo log is cleared — a later aborted
+   transaction rolls back only itself. *)
+let test_refused_apply_is_durable () =
+  let dir = fresh_dir "refused" in
+  let writes = ref false and reads = ref false in
+  let wrap d =
+    failing_dev reads ~op:"read_page" (failing_dev writes ~op:"write_page" d)
+  in
+  let t = Btree.create_file ~dir ~b:8 ~wrap_dev:wrap () in
+  for i = 1 to 50 do
+    Btree.insert t ~key:i ~value:i
+  done;
+  let pager = Btree.pager t in
+  Pager.set_retry_policy pager (Retry_policy.make ~max_attempts:2 ());
+  writes := true;
+  Btree.insert t ~key:100 ~value:100;
+  check_bool "the refused apply gave up, counted" true
+    (Pager.give_ups pager > 0);
+  check_bool "key 100 reads back" true (Btree.find t 100 = Some 100);
+  (* a read give-up aborts this insert inside its body *)
+  reads := true;
+  (match Btree.insert t ~key:0 ~value:0 with
+  | () -> Alcotest.fail "insert 0 should have given up on a read"
+  | exception Pager.Io_fault _ -> ());
+  reads := false;
+  writes := false;
+  Btree.check_invariants t;
+  check_bool "the aborted insert left nothing" true (Btree.find t 0 = None);
+  check_bool "key 100 survives the abort" true (Btree.find t 100 = Some 100);
+  Btree.close t;
+  let t2 = Btree.recover_file ~dir ~b:8 () in
+  Btree.check_invariants t2;
+  check_int "recovered size" 51 (Btree.size t2);
+  check_bool "key 100 is durable" true (Btree.find t2 100 = Some 100);
+  Btree.close t2
+
+(* Regression: a checkpoint whose page-file fsync fails leaves the
+   journal untruncated and is retried at the next commit; the inserts
+   that triggered it return, each failure counted as a [Fault] event. *)
+let test_failed_checkpoint_is_retried () =
+  let dir = fresh_dir "ckpt" in
+  let failing = ref true in
+  let obs = Obs.create ~sink:(Obs.ring ~capacity:100_000) () in
+  let t =
+    Btree.create_file ~dir ~b:8 ~obs
+      ~wrap_dev:(failing_dev failing ~op:"flush")
+      ()
+  in
+  let wal = Option.get (Btree.wal t) in
+  for i = 1 to 100 do
+    Btree.insert t ~key:i ~value:i
+  done;
+  let faults =
+    List.length
+      (List.filter (fun (e : Obs.event) -> e.kind = Obs.Fault) (Obs.events obs))
+  in
+  check_bool "every failed checkpoint counted" true (faults > 1);
+  check_bool "the journal was not truncated" true (Wal.journal_len wal >= 64);
+  failing := false;
+  Btree.insert t ~key:101 ~value:101;
+  check_bool "the next commit checkpoints" true (Wal.journal_len wal < 64);
+  Btree.close t;
+  let t2 = Btree.recover_file ~dir ~b:8 () in
+  check_int "every insert is durable" 101 (Btree.size t2);
+  Btree.close t2
+
+(* A journal with a disk store keeps no simulated timeline: its crash
+   image is its directory. *)
+let test_store_journal_has_no_timeline () =
+  let dir = fresh_dir "notimeline" in
+  let t = Btree.create_file ~dir ~b:8 () in
+  Btree.insert t ~key:1 ~value:1;
+  let wal = Option.get (Btree.wal t) in
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "crash_points" true
+    (refused (fun () -> ignore (Wal.crash_points wal)));
+  check_bool "image_at" true
+    (refused (fun () -> ignore (Wal.image_at wal ~ios:0)));
+  check_bool "crash" true (refused (fun () -> ignore (Wal.crash wal)));
+  Btree.close t
+
 (* The file-backend crash sweep itself: every journal-frame prefix of a
    small workload, clean and torn, recovered from real bytes. Also pins
    the sweep's coverage: at least one clean and one torn image per
@@ -390,4 +526,12 @@ let suite =
       `Quick,
       test_in_txn_eviction_reads_mirror );
     ("file-backend crash sweep", `Quick, test_crash_file_sweep);
+    ("lost write is caught", `Quick, test_lost_write_caught);
+    ("refused apply is durable", `Quick, test_refused_apply_is_durable);
+    ( "failed checkpoint is retried",
+      `Quick,
+      test_failed_checkpoint_is_retried );
+    ( "store journal has no timeline",
+      `Quick,
+      test_store_journal_has_no_timeline );
   ]
