@@ -28,28 +28,26 @@ let read_block pager t i =
 let first_block pager t =
   if Array.length t.pages = 0 then [||] else Pager.read pager t.pages.(0)
 
-let scan_prefix_from pager t ~from ~keep =
+let iter_prefix_from pager t ~from ~keep f =
   let nblocks = Array.length t.pages in
-  let rec loop acc reads i =
-    if i >= nblocks then (List.rev acc, reads)
+  let rec loop reads i =
+    if i >= nblocks then reads
     else begin
-      let block = Pager.read pager t.pages.(i) in
-      let reads = reads + 1 in
-      let stopped = ref false in
-      let acc =
-        Array.fold_left
-          (fun acc x ->
-            if keep x then x :: acc
-            else begin
-              stopped := true;
-              acc
-            end)
-          acc block
-      in
-      if !stopped then (List.rev acc, reads) else loop acc reads (i + 1)
+      let complete = ref true in
+      Array.iter
+        (fun x -> if keep x then f x else complete := false)
+        (Pager.read pager t.pages.(i));
+      if !complete then loop (reads + 1) (i + 1) else reads + 1
     end
   in
-  loop [] 0 (max 0 from)
+  loop 0 (max 0 from)
+
+let scan_prefix_from pager t ~from ~keep =
+  let acc = ref [] in
+  let reads =
+    iter_prefix_from pager t ~from ~keep (fun x -> acc := x :: !acc)
+  in
+  (List.rev !acc, reads)
 
 let scan_prefix pager t ~keep = scan_prefix_from pager t ~from:0 ~keep
 

@@ -51,6 +51,12 @@ val scan_prefix : 'a Pager.t -> 'a t -> keep:('a -> bool) -> 'a list * int
 val scan_prefix_from :
   'a Pager.t -> 'a t -> from:int -> keep:('a -> bool) -> 'a list * int
 
+(** [iter_prefix_from pager t ~from ~keep f] reads the pages that
+    {!scan_prefix_from} reads and hands each kept element to [f], in
+    order, instead of collecting them; it returns the pages read. *)
+val iter_prefix_from :
+  'a Pager.t -> 'a t -> from:int -> keep:('a -> bool) -> ('a -> unit) -> int
+
 (** [free pager t] releases all pages of the list. *)
 val free : 'a Pager.t -> 'a t -> unit
 

@@ -66,26 +66,76 @@ let store_of t name =
 
 type session = { mutable current : (string * Shared_store.t) option }
 
-(* [prefix] then the items, comma-separated, in one buffer *)
-let list_reply prefix add l =
-  let buf = Buffer.create (String.length prefix + (16 * List.length l)) in
-  Buffer.add_string buf prefix;
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      add buf v)
-    l;
-  Buffer.contents buf
+let too_large n =
+  Printf.sprintf "err reply too large (%d bytes); narrow the query" n
 
-let ints_reply prefix l =
-  list_reply prefix (fun buf k -> Buffer.add_string buf (string_of_int k)) l
+(* Integers are counted and written on the non-positive side, where
+   [min_int] has a mirror, two digits per division. *)
+let digit_pairs = String.concat "" (List.init 100 (Printf.sprintf "%02d"))
+
+(* [int_len n] is [String.length (string_of_int n)]. *)
+let int_len n =
+  let rec go m len =
+    if m > -10 then len
+    else if m > -100 then len + 1
+    else go (m / 100) (len + 2)
+  in
+  if n < 0 then go n 2 else go (-n) 1
+
+(* [put_int b stop n] writes [string_of_int n] to end just before
+   [stop], right to left, and returns where it starts. *)
+let put_int b stop n =
+  let rec go m i =
+    if m > -10 then begin
+      Bytes.set b i (Char.chr (48 - m));
+      i
+    end
+    else begin
+      let r = -2 * (m mod 100) in
+      Bytes.set b i digit_pairs.[r + 1];
+      Bytes.set b (i - 1) digit_pairs.[r];
+      if m > -100 then i - 1 else go (m / 100) (i - 2)
+    end
+  in
+  let i = go (if n < 0 then n else -n) (stop - 1) in
+  if n < 0 then begin
+    Bytes.set b (i - 1) '-';
+    i - 1
+  end
+  else i
+
+(* [prefix] then the items, comma-separated. The length comes first,
+   so a reply too large for one frame is refused before it is built;
+   otherwise it is allocated once and filled from the end, so no item
+   needs its length again. *)
+let list_reply prefix ~len ~put l =
+  let n =
+    (* a comma before every item but the first *)
+    List.fold_left (fun n v -> n + 1 + len v) (String.length prefix) l
+    - if l = [] then 0 else 1
+  in
+  if n > Wire.max_frame then too_large n
+  else begin
+    let b = Bytes.create n in
+    Bytes.blit_string prefix 0 b 0 (String.length prefix);
+    ignore
+      (List.fold_left
+         (fun stop v ->
+           if stop < n then Bytes.set b stop ',';
+           put b stop v - 1)
+         n (List.rev l));
+    Bytes.unsafe_to_string b
+  end
+
+let ints_reply prefix l = list_reply prefix ~len:int_len ~put:put_int l
 
 let pairs_reply prefix l =
   list_reply prefix
-    (fun buf (k, v) ->
-      Buffer.add_string buf (string_of_int k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int v))
+    ~len:(fun (k, v) -> int_len k + 1 + int_len v)
+    ~put:(fun b stop (k, v) ->
+      let i = put_int b stop v in
+      Bytes.set b (i - 1) ':';
+      put_int b (i - 1) k)
     l
 
 (* [eval_words] returns the reply payload and whether the session goes
@@ -245,8 +295,7 @@ let serve_session t fd =
   let say s =
     let s =
       let n = String.length s in
-      if n <= Wire.max_frame then s
-      else Printf.sprintf "err reply too large (%d bytes); narrow the query" n
+      if n <= Wire.max_frame then s else too_large n
     in
     match Wire.write_frame fd s with
     | () -> true

@@ -257,6 +257,9 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
 
 type side = L | R
 
+(* One cache source's entries met in a cache scan. *)
+type tally = { src : int; total : int; mutable seen : int }
+
 let query t ~xl ~xr ~yb =
   Pc_obs.Obs.with_span (Pager.obs t.pager) ~kind:"query.3sided"
     ~result_args:(fun (_, st) -> Query_stats.to_args st)
@@ -267,42 +270,90 @@ let query t ~xl ~xr ~yb =
   | None -> ([], stats)
   | Some layout ->
       let b = Pager.page_capacity t.pager in
+      (* skeletal blocks read so far, by page *)
       let blocks = Hashtbl.create 16 in
       let get node =
         let page = t.block_pages.(Skeletal_layout.block_of layout node) in
-        let descs =
+        let cells =
           match Hashtbl.find_opt blocks page with
-          | Some ds -> ds
+          | Some cells -> cells
           | None ->
               let cells = Pager.read t.pager page in
               stats.skeletal_reads <- stats.skeletal_reads + 1;
-              let ds =
-                Array.to_list cells
-                |> List.filter_map (function Desc d -> Some d | _ -> None)
-              in
-              Hashtbl.add blocks page ds;
-              ds
+              Hashtbl.add blocks page cells;
+              cells
         in
-        match List.find_opt (fun d -> d.node = node) descs with
-        | Some d -> d
-        | None -> invalid_arg "Ext_pst3: descriptor missing from block"
+        let rec find i =
+          if i = Array.length cells then
+            invalid_arg "Ext_pst3: descriptor missing from block"
+          else
+            match cells.(i) with
+            | Desc d when d.node = node -> d
+            | _ -> find (i + 1)
+        in
+        find 0
       in
+      (* The answer before deduplication, last found first. *)
+      let out = ref [] and raw = ref 0 in
+      let in_query (p : Point.t) = p.x >= xl && p.x <= xr && p.y >= yb in
+      let push p =
+        out := p :: !out;
+        incr raw
+      in
+      let above (p : Point.t) = p.y >= yb in
       let note_waste reads kept =
         stats.wasteful_reads <- stats.wasteful_reads + max 0 (reads - (kept / b))
       in
-      let scan ~kind ?(from = 0) list ~keep =
-        let cells, reads =
-          Blocked_list.scan_prefix_from t.pager list ~from ~keep:(fun c ->
-              keep (cell_point c))
-        in
-        (match kind with
-        | `Data -> stats.data_reads <- stats.data_reads + reads
-        | `Cache -> stats.cache_reads <- stats.cache_reads + reads);
-        (cells, reads)
+      let scan ~from list ~keep f =
+        Blocked_list.iter_prefix_from t.pager list ~from
+          ~keep:(fun c -> keep (cell_point c))
+          f
       in
-      let out = ref [] in
-      let in_query (p : Point.t) = p.x >= xl && p.x <= xr && p.y >= yb in
-      let add pts = out := List.rev_append (List.filter in_query pts) !out in
+      (* A region's own points: the kept ones in the query join the
+         answer. Waste is charged against the kept points ([`Kept]) or
+         only those in the query ([`Hits]). *)
+      let scan_data ?(from = 0) ~charge list ~keep =
+        let counted = ref 0 in
+        let reads =
+          scan ~from list ~keep (fun c ->
+              let p = cell_point c in
+              if in_query p then begin
+                push p;
+                incr counted
+              end
+              else if charge = `Kept then incr counted)
+        in
+        stats.data_reads <- stats.data_reads + reads;
+        note_waste reads !counted
+      in
+      (* A cache: kept entries of sources that [skip] does not exclude
+         join the answer if in the query, and are charged and tallied per
+         source. Returns the sources all of whose entries were kept, in
+         no particular order: a region fits one page, so continuing one
+         from page 1 reads nothing, and a sibling cache's window holds at
+         most one source whose skeletal block is not yet read. *)
+      let scan_cache list ~keep ~skip =
+        let tallies = ref [] and counted = ref 0 in
+        let reads =
+          scan ~from:0 list ~keep (function
+              | Src { p; src; src_total } ->
+                  if not (skip src) then begin
+                    (match List.find_opt (fun s -> s.src = src) !tallies with
+                    | Some s -> s.seen <- s.seen + 1
+                    | None ->
+                        tallies :=
+                          { src; total = src_total; seen = 1 } :: !tallies);
+                    incr counted;
+                    if in_query p then push p
+                  end
+              | Pt _ | Desc _ -> invalid_arg "Ext_pst3: untagged cache cell")
+        in
+        stats.cache_reads <- stats.cache_reads + reads;
+        note_waste reads !counted;
+        List.filter_map
+          (fun c -> if c.seen = c.total then Some c.src else None)
+          !tallies
+      in
       (* --- Shared prefix: both boundaries route the same way. A node is
          cut by both vertical lines, so its hits are extracted by reading
          its single page (guarded by the x quick-reject when cached). --- *)
@@ -321,74 +372,31 @@ let query t ~xl ~xr ~yb =
         end
       in
       descend_shared (get 0);
-      let shared_set = Hashtbl.create 16 in
-      List.iter (fun d -> Hashtbl.replace shared_set d.node ()) !shared;
       List.iter
         (fun (u : desc) ->
           let skip =
             t.mode = Cached && (u.max_x < xl || u.min_x > xr || u.n_pts = 0)
           in
-          if not skip then begin
-            let cells, reads =
-              scan ~kind:`Data u.y_list ~keep:(fun p -> p.Point.y >= yb)
-            in
-            let hits = List.filter in_query (List.map cell_point cells) in
-            note_waste reads (List.length hits);
-            add hits
-          end)
+          if not skip then scan_data ~charge:`Hits u.y_list ~keep:above)
         !shared;
       (* --- Below the split: mirrored 2-sided machinery per side. --- *)
-      let explore_children (d : desc) =
-        let rec go (d : desc) =
-          List.iter
-            (fun (cidx, cmin) ->
-              if cidx >= 0 then begin
-                let c = get cidx in
-                let cells, reads =
-                  scan ~kind:`Data c.y_list ~keep:(fun p -> p.Point.y >= yb)
-                in
-                note_waste reads (List.length cells);
-                add (List.map cell_point cells);
-                if cmin >= yb then go c
-              end)
-            [ (d.left, d.left_min_y); (d.right, d.right_min_y) ]
+      let rec explore_children (d : desc) =
+        let child c cmin =
+          if c >= 0 then begin
+            let c = get c in
+            scan_data ~charge:`Kept c.y_list ~keep:above;
+            if cmin >= yb then explore_children c
+          end
         in
-        go d
-      in
-      let scan_cache list ~keep ~skip =
-        let cells, reads = scan ~kind:`Cache list ~keep in
-        let per_src = Hashtbl.create 8 in
-        let pts =
-          List.filter_map
-            (function
-              | Src { p; src; src_total } ->
-                  if skip src then None
-                  else begin
-                    let k =
-                      match Hashtbl.find_opt per_src src with
-                      | Some (k, _) -> k + 1
-                      | None -> 1
-                    in
-                    Hashtbl.replace per_src src (k, src_total);
-                    Some p
-                  end
-              | Pt _ | Desc _ -> invalid_arg "Ext_pst3: untagged cache cell")
-            cells
-        in
-        note_waste reads (List.length pts);
-        let full =
-          Hashtbl.fold
-            (fun src (k, total) acc -> if k = total then src :: acc else acc)
-            per_src []
-        in
-        (pts, full)
+        child d.left d.left_min_y;
+        child d.right d.right_min_y
       in
       let run_side side ~split:(sp : desc) start_idx =
         if start_idx >= 0 then begin
           (* The split's children head the two paths; each is a "sibling"
              of the other side's path at the split and must not be
              re-reported from sibling caches (its own side answers it). *)
-          let skip_anc src = Hashtbl.mem shared_set src in
+          let skip_anc src = List.exists (fun d -> d.node = src) !shared in
           let skip_sib src =
             skip_anc src || src = sp.left || src = sp.right
           in
@@ -407,15 +415,8 @@ let query t ~xl ~xr ~yb =
           let path = Array.of_list (descend [] (get start_idx)) in
           let len = Array.length path in
           let corner = path.(len - 1) in
-          let by_idx = Hashtbl.create 16 in
-          Array.iter (fun d -> Hashtbl.replace by_idx d.node d) path;
           (* Corner region's own points. *)
-          let cells, reads =
-            scan ~kind:`Data corner.y_list ~keep:(fun p -> p.Point.y >= yb)
-          in
-          let hits = List.filter in_query (List.map cell_point cells) in
-          note_waste reads (List.length hits);
-          add hits;
+          scan_data ~charge:`Hits corner.y_list ~keep:above;
           (* Right-side special case: the descent can stop because the
              corner has no right child while its left child is still
              inside [xl, xr] (its x-range sits below the corner's split,
@@ -428,11 +429,7 @@ let query t ~xl ~xr ~yb =
                  && (not (goes_deeper corner))
                  && corner.right < 0 && corner.left >= 0 ->
               let sdesc = get corner.left in
-              let cells, reads =
-                scan ~kind:`Data sdesc.y_list ~keep:(fun p -> p.Point.y >= yb)
-              in
-              note_waste reads (List.length cells);
-              add (List.map cell_point cells);
+              scan_data ~charge:`Kept sdesc.y_list ~keep:above;
               if corner.left_min_y >= yb then explore_children sdesc
           | L | R -> ());
           (match t.mode with
@@ -440,12 +437,7 @@ let query t ~xl ~xr ~yb =
               (* Read every strict-ancestor page and sibling page. *)
               for i = 0 to len - 2 do
                 let u = path.(i) in
-                let cells, reads =
-                  scan ~kind:`Data u.y_list ~keep:(fun p -> p.Point.y >= yb)
-                in
-                let hits = List.filter in_query (List.map cell_point cells) in
-                note_waste reads (List.length hits);
-                add hits;
+                scan_data ~charge:`Hits u.y_list ~keep:above;
                 let sib =
                   match side with
                   | L -> if goes_deeper u then u.right else -1
@@ -456,12 +448,7 @@ let query t ~xl ~xr ~yb =
                 in
                 if sib >= 0 then begin
                   let sdesc = get sib in
-                  let cells, reads =
-                    scan ~kind:`Data sdesc.y_list ~keep:(fun p ->
-                        p.Point.y >= yb)
-                  in
-                  note_waste reads (List.length cells);
-                  add (List.map cell_point cells);
+                  scan_data ~charge:`Kept sdesc.y_list ~keep:above;
                   if sib_min >= yb then explore_children sdesc
                 end
               done
@@ -491,38 +478,25 @@ let query t ~xl ~xr ~yb =
                           (fun (p : Point.t) -> p.x <= xr),
                           fun (u : desc) -> u.x_asc_list )
                   in
-                  let a_pts, a_full = scan_cache a_cache ~keep:keep_a ~skip:skip_anc in
-                  add a_pts;
+                  let a_full = scan_cache a_cache ~keep:keep_a ~skip:skip_anc in
                   List.iter
                     (fun src ->
-                      match Hashtbl.find_opt by_idx src with
+                      match Array.find_opt (fun u -> u.node = src) path with
                       | Some u ->
-                          let cells, reads =
-                            scan ~kind:`Data ~from:1 (own_list u) ~keep:keep_a
-                          in
-                          note_waste reads (List.length cells);
-                          add (List.map cell_point cells)
+                          scan_data ~charge:`Kept ~from:1 (own_list u)
+                            ~keep:keep_a
                       | None -> ())
                     a_full;
                   let s_cache =
                     match side with L -> h.sr_list | R -> h.sl_list
                   in
-                  let s_pts, s_full =
-                    scan_cache s_cache ~keep:(fun p -> p.Point.y >= yb)
-                      ~skip:skip_sib
-                  in
-                  add s_pts;
+                  let s_full = scan_cache s_cache ~keep:above ~skip:skip_sib in
                   List.iter
                     (fun src ->
                       let sdesc = get src in
-                      if not (sdesc.max_x < xl || sdesc.min_x > xr) then begin
-                        let cells, reads =
-                          scan ~kind:`Data ~from:1 sdesc.y_list ~keep:(fun p ->
-                              p.Point.y >= yb)
-                        in
-                        note_waste reads (List.length cells);
-                        add (List.map cell_point cells)
-                      end)
+                      if not (sdesc.max_x < xl || sdesc.min_x > xr) then
+                        scan_data ~charge:`Kept ~from:1 sdesc.y_list
+                          ~keep:above)
                     s_full)
                 hop_depths;
               (* Descendants of fully-contained siblings. *)
@@ -546,9 +520,8 @@ let query t ~xl ~xr ~yb =
       | Some sp ->
           run_side L ~split:sp sp.left;
           run_side R ~split:sp sp.right);
-      let raw = !out in
-      stats.reported_raw <- List.length raw;
-      (Point.dedup_by_id raw, stats)
+      stats.reported_raw <- !raw;
+      (Point.dedup_by_id !out, stats)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)

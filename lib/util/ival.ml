@@ -28,16 +28,7 @@ let of_point (p : Point.t) =
   if p.x > p.y then invalid_arg "Ival.of_point: x > y";
   { lo = p.x; hi = p.y; id = p.id }
 
-let dedup_by_id ivs =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun iv ->
-      if Hashtbl.mem seen iv.id then false
-      else begin
-        Hashtbl.add seen iv.id ();
-        true
-      end)
-    ivs
+let dedup_by_id ivs = Point.dedup_by_key id ivs
 
 let endpoints ivs =
   List.concat_map (fun iv -> [ iv.lo; iv.hi ]) ivs

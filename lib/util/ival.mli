@@ -46,7 +46,8 @@ val to_point : t -> Point.t
     [p.x > p.y]. *)
 val of_point : Point.t -> t
 
-(** [dedup_by_id ivs] keeps the first occurrence of each id. *)
+(** [dedup_by_id ivs] keeps the first occurrence of each id, in input
+    order ({!Point.dedup_by_key}). *)
 val dedup_by_id : t list -> t list
 
 (** [endpoints ivs] returns the sorted deduplicated list of all interval

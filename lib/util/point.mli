@@ -35,9 +35,11 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Sets of points keyed by [id]; used to deduplicate query output. *)
-module Id_set : Set.S with type elt = int
+(** [dedup_by_key key l] keeps the first element of [l] for each value
+    of [key], in input order, and drops the rest. It costs two passes
+    over [l] and an [int array] of 2 to 4 slots per element, made per
+    call, so callers on several domains may run it at once. *)
+val dedup_by_key : ('a -> int) -> 'a list -> 'a list
 
-(** [dedup_by_id pts] keeps the first occurrence of each id, preserving
-    order of first appearance. *)
+(** [dedup_by_id pts] is [dedup_by_key id pts]. *)
 val dedup_by_id : t list -> t list

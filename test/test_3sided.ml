@@ -202,6 +202,103 @@ let test_page_images () =
         (page_digest ~mode ~b (List.sort Point.compare_xy pts)))
     page_image_cases
 
+(* Query outputs. Each case builds one structure and runs a seeded
+   stream of slab queries aimed at t ≈ 1, 25 and 800 (plus an inverted
+   range and a yb above every point). Per query it digests the answer
+   list in order, the query's [Query_stats] and the page ids of the
+   [Read] events the query caused, so a change to the query path that
+   keeps answers as sets but reorders them, reads another page, or
+   bills a read to another counter fails here. The colliding input
+   repeats x values and reuses ids, which pins the deduplication's
+   first-occurrence rule. *)
+let query_digest ~mode ~b ~xu ~yu pts =
+  let reads = ref [] in
+  let obs =
+    Obs.create
+      ~sink:
+        (Obs.custom (fun e ->
+             if e.Obs.kind = Obs.Read then reads := e.Obs.page :: !reads))
+      ()
+  in
+  let t = Ext_pst3.create ~obs ~mode ~b pts in
+  let rng = Rng.create 59 in
+  let n = List.length pts in
+  let slabs t_target =
+    List.init 12 (fun _ ->
+        let w = 2 * t_target * xu / n in
+        let xl = Rng.int rng (max 1 (xu - w)) in
+        (xl, xl + w, yu / 2))
+  in
+  let queries =
+    ((10, 5, 0) :: (0, xu, yu) :: slabs 1) @ slabs 25 @ slabs 800
+  in
+  let buf = Buffer.create 65_536 in
+  List.iter
+    (fun (xl, xr, yb) ->
+      reads := [];
+      let got, st = Ext_pst3.query t ~xl ~xr ~yb in
+      Printf.bprintf buf "q %d %d %d:" xl xr yb;
+      List.iter
+        (fun (p : Point.t) -> Printf.bprintf buf " %d,%d,%d" p.x p.y p.id)
+        got;
+      List.iter
+        (fun (k, v) -> Printf.bprintf buf " %s=%d" k v)
+        (Query_stats.to_args st);
+      List.iter (Printf.bprintf buf " r%d") (List.rev !reads);
+      Buffer.add_char buf '\n')
+    queries;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let query_digest_cases =
+  let points ~seed ~xu ~yu ~id =
+    let rng = Rng.create seed in
+    List.init 4000 (fun i ->
+        let x = Rng.int rng xu in
+        Point.make ~x ~y:(Rng.int rng yu) ~id:(id i))
+  in
+  let u = 1 lsl 20 in
+  let uniform = (u, u, points ~seed:61 ~xu:u ~yu:u ~id:Fun.id)
+  and colliding =
+    (96, 1000, points ~seed:67 ~xu:96 ~yu:1000 ~id:(fun i -> i mod 1500))
+  in
+  Ext_pst3.
+    [
+      ("cached b=4", Cached, 4, uniform, "12f2d00230ff27e724ecb13f010706e4");
+      ("cached b=8", Cached, 8, uniform, "52df0e2d6996961689c2cd610d3ba734");
+      ("cached b=64", Cached, 64, uniform, "fa7896a4ea5c284aa7e63720c69bf14b");
+      ( "cached b=4, colliding",
+        Cached,
+        4,
+        colliding,
+        "b2ddea45897835e4ecb40af67e8afa43" );
+      ( "baseline b=4",
+        Baseline,
+        4,
+        uniform,
+        "8854af409c1838fe85bde3a12fc44baa" );
+      ( "baseline b=8",
+        Baseline,
+        8,
+        uniform,
+        "447a396a8c43d1de93542a069bb5e579" );
+      ( "baseline b=64",
+        Baseline,
+        64,
+        uniform,
+        "8de4c6c0b79a47a8ccb8eb1b4e14e417" );
+      ( "baseline b=4, colliding",
+        Baseline,
+        4,
+        colliding,
+        "cdfa5ace9c808278b583e44b5a7024fc" );
+    ]
+
+let test_query_digests () =
+  List.iter
+    (fun (name, mode, b, (xu, yu, pts), digest) ->
+      Alcotest.(check string) name digest (query_digest ~mode ~b ~xu ~yu pts))
+    query_digest_cases
+
 let suite =
   [
     ("vs oracle", `Slow, test_vs_oracle);
@@ -211,5 +308,6 @@ let suite =
     ("cached I/O improvement", `Quick, test_cached_io_improvement);
     ("query I/O bound", `Quick, test_query_io_bound);
     ("page images match the recorded digests", `Quick, test_page_images);
+    ("query outputs match the recorded digests", `Quick, test_query_digests);
     QCheck_alcotest.to_alcotest prop_3sided_random;
   ]

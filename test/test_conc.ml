@@ -507,6 +507,62 @@ let test_wire_session () =
       check_bool "close" true (expect_ok fd "close" = "ok bye");
       Unix.close fd)
 
+(* Replies carry integers exactly as [string_of_int] writes them: at
+   [min_int] and [max_int], at digit-count boundaries, negative, and as
+   ids. An empty answer is its prefix, trailing space included. *)
+let test_wire_reply_encoding () =
+  let p18 = 1_000_000_000_000_000_000 in
+  let pts =
+    [
+      (min_int, min_int, -1); (min_int, max_int, min_int); (-p18, 9, -10);
+      (1 - p18, -9, -99); (-100, -10, -100); (-7, 0, -42); (0, -1, 0);
+      (9, 10, 99); (10, 99, max_int); (p18 - 1, p18, 100);
+      (max_int, max_int, -1_000_000_007); (max_int, min_int, 5);
+    ]
+  in
+  let reference prefix items = prefix ^ String.concat "," items in
+  let in_range lo hi x = lo <= x && x <= hi in
+  let pairs lo hi =
+    List.filter (fun (x, _, _) -> in_range lo hi x) pts
+    |> List.map (fun (x, y, _) -> (x, y))
+    |> List.sort compare
+    |> List.map (fun (x, y) -> string_of_int x ^ ":" ^ string_of_int y)
+    |> reference "ok pairs "
+  in
+  let ids xl xr yb =
+    List.filter (fun (x, y, _) -> in_range xl xr x && y >= yb) pts
+    |> List.map (fun (_, _, id) -> id)
+    |> List.sort compare |> List.map string_of_int |> reference "ok ids "
+  in
+  with_server (fun t ->
+      let fd = connect t in
+      ignore (expect_ok fd "open extremes");
+      List.iter
+        (fun (x, y, id) ->
+          Alcotest.(check string)
+            "insert" "ok"
+            (expect_ok fd (Printf.sprintf "insert %d %d %d" x y id)))
+        pts;
+      List.iter
+        (fun (lo, hi) ->
+          let req = Printf.sprintf "krange %d %d" lo hi in
+          Alcotest.(check string) req (pairs lo hi) (expect_ok fd req))
+        [
+          (min_int, max_int); (min_int, min_int); (max_int, max_int);
+          (-p18, 10);
+        ];
+      List.iter
+        (fun (xl, xr, yb) ->
+          let req = Printf.sprintf "q3 %d %d %d" xl xr yb in
+          Alcotest.(check string) req (ids xl xr yb) (expect_ok fd req))
+        [
+          (min_int, max_int, min_int); (min_int, max_int, 0); (-p18, 10, -10);
+          (1, 8, min_int); (max_int, max_int, max_int);
+        ];
+      check_bool "empty krange" true (expect_ok fd "krange 1 8" = "ok pairs ");
+      check_bool "empty q3" true (expect_ok fd "q3 1 8 0" = "ok ids ");
+      Unix.close fd)
+
 let test_wire_two_sessions_share_store () =
   with_server (fun t ->
       let a = connect t and b = connect t in
@@ -593,6 +649,8 @@ let suite =
     Alcotest.test_case "lin: recorded 2-domain run linearizable" `Quick
       test_lin_recorded_run;
     Alcotest.test_case "wire: full session" `Quick test_wire_session;
+    Alcotest.test_case "wire: replies at the integer extremes" `Quick
+      test_wire_reply_encoding;
     Alcotest.test_case "wire: sessions share a store" `Quick
       test_wire_two_sessions_share_store;
     Alcotest.test_case "wire: oversized length prefix" `Quick

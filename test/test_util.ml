@@ -234,14 +234,46 @@ let prop_log_bounds =
       let l = Num_util.ilog2 n in
       (1 lsl l) <= n && n < 1 lsl (l + 1))
 
+(* The dedup contract, against a reference: an element stays iff no
+   earlier element has its id, and the kept ones keep their order. Ids
+   collide heavily, reach [min_int] (the table's empty mark) and
+   [max_int], and the lists run past any small table size. *)
+let dedup_reference id l =
+  let module S = Set.Make (Int) in
+  List.fold_left
+    (fun (seen, kept) x ->
+      if S.mem (id x) seen then (seen, kept)
+      else (S.add (id x) seen, x :: kept))
+    (S.empty, []) l
+  |> snd |> List.rev
+
+let dedup_ids =
+  QCheck.(
+    make
+      ~print:Print.(list int)
+      Gen.(
+        list_size (int_range 0 3000)
+          (frequency
+             [
+               (4, int_range (-20) 20);
+               (1, return min_int);
+               (1, return (min_int + 1));
+               (1, return max_int);
+               (2, int);
+               (2, map (fun i -> i lsl 40) (int_range (-8) 8));
+             ])))
+
 let prop_dedup =
-  QCheck.Test.make ~name:"dedup_by_id keeps one per id" ~count:200
-    QCheck.(small_list (pair small_int (pair small_int small_int)))
-    (fun raw ->
-      let pts = List.map (fun (id, (x, y)) -> Point.make ~x ~y ~id) raw in
-      let d = Point.dedup_by_id pts in
-      let ids = List.map Point.id d in
-      List.length ids = List.length (List.sort_uniq compare ids))
+  QCheck.Test.make ~name:"dedup_by_id keeps one per id" ~count:200 dedup_ids
+    (fun ids ->
+      let pts = List.mapi (fun i id -> Point.make ~x:i ~y:(-i) ~id) ids in
+      Point.dedup_by_id pts = dedup_reference Point.id pts)
+
+let prop_ival_dedup =
+  QCheck.Test.make ~name:"Ival.dedup_by_id keeps one per id" ~count:200
+    dedup_ids (fun ids ->
+      let ivs = List.mapi (fun i id -> Ival.make ~lo:i ~hi:(i + 1) ~id) ids in
+      Ival.dedup_by_id ivs = dedup_reference Ival.id ivs)
 
 let suite =
   [
@@ -268,4 +300,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ceil_div;
     QCheck_alcotest.to_alcotest prop_log_bounds;
     QCheck_alcotest.to_alcotest prop_dedup;
+    QCheck_alcotest.to_alcotest prop_ival_dedup;
   ]
