@@ -183,126 +183,16 @@ let range t ~lo ~hi =
 
 let to_list t = range t ~lo:min_int ~hi:max_int
 
-(* ------------------------------------------------------------------ *)
-(* Navigation                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let min_entry t =
-  (* Walk the leftmost spine; skip (rare) empty leaves via the chain. *)
-  let id, _ = find_leaf t t.root (min_int, min_int) in
-  let rec first id =
-    if id < 0 then None
-    else
+let iter t f =
+  let rec scan id =
+    if id >= 0 then
       match read_node t id with
       | LeafN { next; kvs } ->
-          if Array.length kvs > 0 then Some kvs.(0) else first next
+          Array.iter (fun (k, v) -> f k v) kvs;
+          scan next
       | IntN _ -> assert false
   in
-  first id
-
-let max_entry t =
-  let rec walk id =
-    match read_node t id with
-    | LeafN { kvs; _ } ->
-        if Array.length kvs > 0 then Some kvs.(Array.length kvs - 1) else None
-    | IntN { branches } -> walk (snd branches.(Array.length branches - 1))
-  in
-  walk t.root
-
-let succ t k =
-  let id, _ = find_leaf t t.root (k, max_int) in
-  let rec scan id =
-    if id < 0 then None
-    else
-      match read_node t id with
-      | LeafN { next; kvs } -> (
-          match Array.find_opt (fun (key, _) -> key > k) kvs with
-          | Some kv -> Some kv
-          | None -> scan next)
-      | IntN _ -> assert false
-  in
-  scan id
-
-let pred t k =
-  (* Route to the leaf that would hold k, then take the largest smaller
-     entry seen on the way down (separators bound the left siblings). *)
-  let rec walk id best =
-    match read_node t id with
-    | LeafN { kvs; _ } ->
-        let best = ref best in
-        Array.iter (fun (key, v) -> if key < k then best := Some (key, v)) kvs;
-        !best
-    | IntN { branches } ->
-        let i = route branches (k, min_int) in
-        (* entries under branches.(j) for j < i are all < k only if their
-           separators are; track the max candidate by descending into the
-           previous child when the target child yields nothing *)
-        let res = walk (snd branches.(i)) best in
-        if res = None && i > 0 then walk (snd branches.(i - 1)) best else res
-  in
-  walk t.root None
-
-let fold_range t ~lo ~hi ~init ~f =
-  if lo > hi then init
-  else begin
-    let id, _ = find_leaf t t.root (lo, min_int) in
-    let rec scan id acc =
-      if id < 0 then acc
-      else
-        match read_node t id with
-        | LeafN { next; kvs } ->
-            let acc = ref acc in
-            let stop = ref false in
-            Array.iter
-              (fun (k, v) ->
-                if k > hi then stop := true
-                else if k >= lo then acc := f !acc k v)
-              kvs;
-            if !stop then !acc else scan next !acc
-        | IntN _ -> assert false
-    in
-    scan id init
-  end
-
-let count_range t ~lo ~hi = fold_range t ~lo ~hi ~init:0 ~f:(fun n _ _ -> n + 1)
-
-let iter t f =
-  ignore (fold_range t ~lo:min_int ~hi:max_int ~init:() ~f:(fun () k v -> f k v))
-
-(* Cursor: current leaf contents held in memory plus a position; crossing
-   to the next leaf costs one read. *)
-type cursor = { c_kvs : (int * int) array; c_pos : int; c_next : int }
-
-let rec cursor_of_leaf t id pos =
-  if id < 0 then { c_kvs = [||]; c_pos = 0; c_next = -1 }
-  else
-    match read_node t id with
-    | LeafN { next; kvs } ->
-        if pos < Array.length kvs then { c_kvs = kvs; c_pos = pos; c_next = next }
-        else cursor_of_leaf t next 0
-    | IntN _ -> assert false
-
-let cursor_at t k =
-  let id, _ = find_leaf t t.root (k, min_int) in
-  match read_node t id with
-  | LeafN { next; kvs } ->
-      let n = Array.length kvs in
-      let rec pos i = if i >= n || fst kvs.(i) >= k then i else pos (i + 1) in
-      let p = pos 0 in
-      if p < n then { c_kvs = kvs; c_pos = p; c_next = next }
-      else cursor_of_leaf t next 0
-  | IntN _ -> assert false
-
-let cursor_next t c =
-  if c.c_pos < Array.length c.c_kvs then begin
-    let kv = c.c_kvs.(c.c_pos) in
-    let c' =
-      if c.c_pos + 1 < Array.length c.c_kvs then { c with c_pos = c.c_pos + 1 }
-      else cursor_of_leaf t c.c_next 0
-    in
-    Some (kv, c')
-  end
-  else None
+  scan (fst (find_leaf t t.root (min_int, min_int)))
 
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                          *)

@@ -188,45 +188,9 @@ val range : t -> lo:int -> hi:int -> (int * int) list
 (** [to_list t] lists all entries in key order. *)
 val to_list : t -> (int * int) list
 
-(** {1 Navigation}
-
-    Standard index-navigation operations, each costing [O(log_B n)] I/Os
-    (plus [O(1)] per step for cursors, amortized one read per [B - 1]
-    entries). *)
-
-(** [min_entry t] / [max_entry t] are the extreme entries, if any. *)
-val min_entry : t -> (int * int) option
-
-val max_entry : t -> (int * int) option
-
-(** [succ t k] is the smallest entry with key strictly greater than
-    [k]. *)
-val succ : t -> int -> (int * int) option
-
-(** [pred t k] is the largest entry with key strictly smaller than
-    [k]. *)
-val pred : t -> int -> (int * int) option
-
-(** [count_range t ~lo ~hi] counts entries with [lo <= key <= hi]
-    (reads the same pages as {!range} but materializes nothing). *)
-val count_range : t -> lo:int -> hi:int -> int
-
 (** [iter t f] applies [f key value] to every entry in key order by
     scanning the leaf chain. *)
 val iter : t -> (int -> int -> unit) -> unit
-
-(** [fold_range t ~lo ~hi ~init ~f] folds over entries in [lo, hi] in
-    key order. *)
-val fold_range : t -> lo:int -> hi:int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-
-(** Streaming cursors: [cursor_at t k] positions before the first entry
-    with key [>= k]; [cursor_next] yields entries one at a time, reading
-    a page only when crossing leaves. Cursors are invalidated by
-    updates. *)
-type cursor
-
-val cursor_at : t -> int -> cursor
-val cursor_next : t -> cursor -> ((int * int) * cursor) option
 
 (** [pages_used t] is the number of live pages of the backing pager that
     belong to this tree (the tree assumes exclusive ownership of its

@@ -154,19 +154,6 @@ let height t =
   h t.root
 
 let node_by_idx t i = t.nodes.(i)
-let goes_left n ~xl = xl <= n.split
-
-let path_to_corner t ~xl ~yb =
-  let rec walk acc n =
-    let acc = n :: acc in
-    if n.min_y < yb then List.rev acc
-    else if goes_left n ~xl then
-      match n.left with Some l -> walk acc l | None -> List.rev acc
-    else begin
-      match n.right with Some r -> walk acc r | None -> List.rev acc
-    end
-  in
-  match t.root with Some r -> walk [] r | None -> []
 
 let iter f t =
   let rec go = function

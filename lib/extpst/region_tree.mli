@@ -42,17 +42,6 @@ val capacity : t -> int
 (** [node_by_idx t i] retrieves a node by dense id. *)
 val node_by_idx : t -> int -> node
 
-(** [path_to_corner t ~xl ~yb] is the root-to-corner path (top-down) for a
-    2-sided query with corner [(xl, yb)]: descend toward [xl], stopping at
-    the first node whose [min_y < yb] (no descendant of that node can
-    reach back up into the query) or at a leaf. Empty iff the tree is
-    empty. *)
-val path_to_corner : t -> xl:int -> yb:int -> node list
-
-(** [goes_left n ~xl] tells whether the descent toward [xl] leaves [n]
-    through its left child. *)
-val goes_left : node -> xl:int -> bool
-
 (** [iter f t] visits all nodes in preorder. *)
 val iter : (node -> unit) -> t -> unit
 

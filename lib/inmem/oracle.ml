@@ -11,13 +11,7 @@ let range_2d pts ~x1 ~x2 ~y1 ~y2 =
     (fun (p : Point.t) -> p.x >= x1 && p.x <= x2 && p.y >= y1 && p.y <= y2)
     pts
 
-let diagonal_corner pts ~q =
-  List.filter (fun (p : Point.t) -> p.x <= q && p.y >= q) pts
-
 let stabbing ivs ~q = List.filter (fun iv -> Ival.contains iv q) ivs
-
-let range_1d keys ~lo ~hi =
-  List.filter (fun k -> lo <= k && k <= hi) keys |> List.sort compare
 
 let ids pts = List.map Point.id pts |> List.sort compare
 let ival_ids ivs = List.map Ival.id ivs |> List.sort compare

@@ -20,15 +20,8 @@ val three_sided : Point.t list -> xl:int -> xr:int -> yb:int -> Point.t list
 val range_2d :
   Point.t list -> x1:int -> x2:int -> y1:int -> y2:int -> Point.t list
 
-(** [diagonal_corner pts ~q] is all points with [x <= q && y >= q] — the
-    query of the stabbing reduction. *)
-val diagonal_corner : Point.t list -> q:int -> Point.t list
-
 (** [stabbing ivs ~q] is all intervals containing [q]. *)
 val stabbing : Ival.t list -> q:int -> Ival.t list
-
-(** [range_1d keys ~lo ~hi] is all keys in [lo, hi], sorted. *)
-val range_1d : int list -> lo:int -> hi:int -> int list
 
 (** [ids pts] is the sorted id list of [pts], for set comparison. *)
 val ids : Point.t list -> int list

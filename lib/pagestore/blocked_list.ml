@@ -20,14 +20,6 @@ let read_all pager t =
   Array.to_list t.pages
   |> List.concat_map (fun id -> Array.to_list (Pager.read pager id))
 
-let read_block pager t i =
-  if i < 0 || i >= Array.length t.pages then
-    invalid_arg "Blocked_list.read_block: index out of bounds";
-  Pager.read pager t.pages.(i)
-
-let first_block pager t =
-  if Array.length t.pages = 0 then [||] else Pager.read pager t.pages.(0)
-
 let iter_prefix_from pager t ~from ~keep f =
   let nblocks = Array.length t.pages in
   let rec loop reads i =

@@ -28,14 +28,6 @@ val is_empty : 'a t -> bool
     Costs [num_blocks t] I/Os (modulo buffer pool). *)
 val read_all : 'a Pager.t -> 'a t -> 'a list
 
-(** [read_block pager t i] reads the [i]-th page (0-based). *)
-val read_block : 'a Pager.t -> 'a t -> int -> 'a array
-
-(** [first_block pager t] is the contents of page 0, or [[||]] if the list
-    is empty; used when building caches from "the first block" of X/Y
-    lists (§4). *)
-val first_block : 'a Pager.t -> 'a t -> 'a array
-
 (** [scan_prefix pager t ~keep] implements the paper's blocked prefix
     scan: pages are read front to back; elements satisfying [keep] are
     collected; the scan stops after the first page containing an element

@@ -14,7 +14,7 @@ let pp_mode ppf = function
 type cell =
   | Desc of desc
   | Pt of Point.t
-  | Src of { p : Point.t; src : int; src_total : int }
+  | Src of { p : Point.t; src : int }
 
 and desc = {
   node : int;
@@ -29,8 +29,6 @@ and desc = {
   right_min_y : int;
   n_pts : int;
   y_list : cell Blocked_list.t;  (* own points, decreasing y *)
-  x_list : cell Blocked_list.t;  (* own points, decreasing x *)
-  x_asc_list : cell Blocked_list.t;  (* own points, increasing x *)
   a_list : cell Blocked_list.t;  (* window-ancestor cache, decreasing x *)
   a_asc_list : cell Blocked_list.t;  (* same sources, increasing x *)
   sr_list : cell Blocked_list.t;  (* right-sibling cache, decreasing y *)
@@ -126,9 +124,7 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
           (if mode = Cached then num_nodes else 0)
           (fun i ->
             let u = Pc_extpst.Region_tree.node_by_idx rt i in
-            let pts = pts_of u in
-            let src_total = Array.length pts in
-            Array.map (fun p -> Src { p; src = u.idx; src_total }) pts)
+            Array.map (fun p -> Src { p; src = u.idx }) (pts_of u))
       in
       let x_desc = tagged (fun u -> u.pts_by_x) in
       let y_desc = tagged (fun u -> u.pts_by_y) in
@@ -179,8 +175,8 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
           | None -> max_int
         in
         (* With capacity B a region fits one page, and a single-page list
-           is order-insensitive to scan, so the three sort orders share
-           that page. *)
+           is scanned whole in any order, so one list in decreasing y
+           serves every boundary. *)
         let y_list = store_points pager n.pts_by_y in
         (* Page ids follow allocation order, which the on-disk format
            pins: the caches are stored sl, sr, a_asc, then a. *)
@@ -210,8 +206,6 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
               right_min_y = child_min n.right;
               n_pts;
               y_list;
-              x_list = y_list;
-              x_asc_list = y_list;
               a_list;
               a_asc_list;
               sr_list;
@@ -257,9 +251,6 @@ let create_unjournaled ?(cache_capacity = 0) ?pool ?obs ?durability ?backend
 
 type side = L | R
 
-(* One cache source's entries met in a cache scan. *)
-type tally = { src : int; total : int; mutable seen : int }
-
 let query t ~xl ~xr ~yb =
   Pc_obs.Obs.with_span (Pager.obs t.pager) ~kind:"query.3sided"
     ~result_args:(fun (_, st) -> Query_stats.to_args st)
@@ -304,18 +295,18 @@ let query t ~xl ~xr ~yb =
       let note_waste reads kept =
         stats.wasteful_reads <- stats.wasteful_reads + max 0 (reads - (kept / b))
       in
-      let scan ~from list ~keep f =
-        Blocked_list.iter_prefix_from t.pager list ~from
+      let scan list ~keep f =
+        Blocked_list.iter_prefix_from t.pager list ~from:0
           ~keep:(fun c -> keep (cell_point c))
           f
       in
-      (* A region's own points: the kept ones in the query join the
-         answer. Waste is charged against the kept points ([`Kept]) or
-         only those in the query ([`Hits]). *)
-      let scan_data ?(from = 0) ~charge list ~keep =
+      (* A region's own points, kept while above [yb]: the kept ones in
+         the query join the answer. Waste is charged against the kept
+         points ([`Kept]) or only those in the query ([`Hits]). *)
+      let scan_data ~charge (d : desc) =
         let counted = ref 0 in
         let reads =
-          scan ~from list ~keep (fun c ->
+          scan d.y_list ~keep:above (fun c ->
               let p = cell_point c in
               if in_query p then begin
                 push p;
@@ -327,32 +318,22 @@ let query t ~xl ~xr ~yb =
         note_waste reads !counted
       in
       (* A cache: kept entries of sources that [skip] does not exclude
-         join the answer if in the query, and are charged and tallied per
-         source. Returns the sources all of whose entries were kept, in
-         no particular order: a region fits one page, so continuing one
-         from page 1 reads nothing, and a sibling cache's window holds at
-         most one source whose skeletal block is not yet read. *)
+         join the answer if in the query, and are charged. A region fits
+         one page, so a cache holds each of its sources whole and a scan
+         never continues into a source's own list (§4.1). *)
       let scan_cache list ~keep ~skip =
-        let tallies = ref [] and counted = ref 0 in
+        let counted = ref 0 in
         let reads =
-          scan ~from:0 list ~keep (function
-              | Src { p; src; src_total } ->
+          scan list ~keep (function
+              | Src { p; src } ->
                   if not (skip src) then begin
-                    (match List.find_opt (fun s -> s.src = src) !tallies with
-                    | Some s -> s.seen <- s.seen + 1
-                    | None ->
-                        tallies :=
-                          { src; total = src_total; seen = 1 } :: !tallies);
                     incr counted;
                     if in_query p then push p
                   end
               | Pt _ | Desc _ -> invalid_arg "Ext_pst3: untagged cache cell")
         in
         stats.cache_reads <- stats.cache_reads + reads;
-        note_waste reads !counted;
-        List.filter_map
-          (fun c -> if c.seen = c.total then Some c.src else None)
-          !tallies
+        note_waste reads !counted
       in
       (* --- Shared prefix: both boundaries route the same way. A node is
          cut by both vertical lines, so its hits are extracted by reading
@@ -377,14 +358,14 @@ let query t ~xl ~xr ~yb =
           let skip =
             t.mode = Cached && (u.max_x < xl || u.min_x > xr || u.n_pts = 0)
           in
-          if not skip then scan_data ~charge:`Hits u.y_list ~keep:above)
+          if not skip then scan_data ~charge:`Hits u)
         !shared;
       (* --- Below the split: mirrored 2-sided machinery per side. --- *)
       let rec explore_children (d : desc) =
         let child c cmin =
           if c >= 0 then begin
             let c = get c in
-            scan_data ~charge:`Kept c.y_list ~keep:above;
+            scan_data ~charge:`Kept c;
             if cmin >= yb then explore_children c
           end
         in
@@ -416,7 +397,7 @@ let query t ~xl ~xr ~yb =
           let len = Array.length path in
           let corner = path.(len - 1) in
           (* Corner region's own points. *)
-          scan_data ~charge:`Hits corner.y_list ~keep:above;
+          scan_data ~charge:`Hits corner;
           (* Right-side special case: the descent can stop because the
              corner has no right child while its left child is still
              inside [xl, xr] (its x-range sits below the corner's split,
@@ -429,7 +410,7 @@ let query t ~xl ~xr ~yb =
                  && (not (goes_deeper corner))
                  && corner.right < 0 && corner.left >= 0 ->
               let sdesc = get corner.left in
-              scan_data ~charge:`Kept sdesc.y_list ~keep:above;
+              scan_data ~charge:`Kept sdesc;
               if corner.left_min_y >= yb then explore_children sdesc
           | L | R -> ());
           (match t.mode with
@@ -437,7 +418,7 @@ let query t ~xl ~xr ~yb =
               (* Read every strict-ancestor page and sibling page. *)
               for i = 0 to len - 2 do
                 let u = path.(i) in
-                scan_data ~charge:`Hits u.y_list ~keep:above;
+                scan_data ~charge:`Hits u;
                 let sib =
                   match side with
                   | L -> if goes_deeper u then u.right else -1
@@ -448,7 +429,7 @@ let query t ~xl ~xr ~yb =
                 in
                 if sib >= 0 then begin
                   let sdesc = get sib in
-                  scan_data ~charge:`Kept sdesc.y_list ~keep:above;
+                  scan_data ~charge:`Kept sdesc;
                   if sib_min >= yb then explore_children sdesc
                 end
               done
@@ -467,37 +448,18 @@ let query t ~xl ~xr ~yb =
               List.iter
                 (fun hd ->
                   let h = path.(hd - split_depth - 1) in
-                  let a_cache, keep_a, own_list =
-                    match side with
-                    | L ->
-                        ( h.a_list,
-                          (fun (p : Point.t) -> p.x >= xl),
-                          fun (u : desc) -> u.x_list )
-                    | R ->
-                        ( h.a_asc_list,
-                          (fun (p : Point.t) -> p.x <= xr),
-                          fun (u : desc) -> u.x_asc_list )
-                  in
-                  let a_full = scan_cache a_cache ~keep:keep_a ~skip:skip_anc in
-                  List.iter
-                    (fun src ->
-                      match Array.find_opt (fun u -> u.node = src) path with
-                      | Some u ->
-                          scan_data ~charge:`Kept ~from:1 (own_list u)
-                            ~keep:keep_a
-                      | None -> ())
-                    a_full;
-                  let s_cache =
-                    match side with L -> h.sr_list | R -> h.sl_list
-                  in
-                  let s_full = scan_cache s_cache ~keep:above ~skip:skip_sib in
-                  List.iter
-                    (fun src ->
-                      let sdesc = get src in
-                      if not (sdesc.max_x < xl || sdesc.min_x > xr) then
-                        scan_data ~charge:`Kept ~from:1 sdesc.y_list
-                          ~keep:above)
-                    s_full)
+                  (match side with
+                  | L ->
+                      scan_cache h.a_list
+                        ~keep:(fun (p : Point.t) -> p.x >= xl)
+                        ~skip:skip_anc
+                  | R ->
+                      scan_cache h.a_asc_list
+                        ~keep:(fun (p : Point.t) -> p.x <= xr)
+                        ~skip:skip_anc);
+                  scan_cache
+                    (match side with L -> h.sr_list | R -> h.sl_list)
+                    ~keep:above ~skip:skip_sib)
                 hop_depths;
               (* Descendants of fully-contained siblings. *)
               for i = 0 to len - 2 do
@@ -568,7 +530,6 @@ let check_invariants t =
         in
         go l
       in
-      let key (p : Point.t) = (p.x, p.y, p.id) in
       let total = ref 0 in
       let rec walk i ~depth ~anc =
         let d = get i in
@@ -591,26 +552,6 @@ let check_invariants t =
         if d.min_y <> min_y then fail "node %d: stale min_y" i;
         if d.min_x <> min_x then fail "node %d: stale min_x" i;
         if d.max_x <> max_x then fail "node %d: stale max_x" i;
-        (* the three sort orders hold the same points; with capacity B
-           every region fits one page, which all three views share *)
-        let xs = pts_of d.x_list and xa = pts_of d.x_asc_list in
-        if List.sort compare (List.map key xs) <> List.sort compare (List.map key ys)
-        then fail "node %d: x_list holds different points" i;
-        if List.sort compare (List.map key xa) <> List.sort compare (List.map key ys)
-        then fail "node %d: x_asc_list holds different points" i;
-        if d.n_pts <= b then begin
-          (* sharing = same underlying pages; compare ids, not handles
-             (decoding a page through a binary backend rebuilds the
-             list records, losing physical identity) *)
-          if Blocked_list.to_ids d.x_list <> Blocked_list.to_ids d.y_list then
-            fail "node %d: single-page x_list not shared" i;
-          if Blocked_list.to_ids d.x_asc_list <> Blocked_list.to_ids d.y_list
-          then fail "node %d: single-page x_asc_list not shared" i
-        end
-        else begin
-          check_sorted "x_list" Point.compare_x_desc xs;
-          check_sorted "x_asc_list" Point.compare_xy xa
-        end;
         (* nesting along the ancestor path *)
         List.iter
           (fun (p : Point.t) ->
@@ -639,27 +580,25 @@ let check_invariants t =
           let per_src = Hashtbl.create 4 in
           List.iter
             (function
-              | Src { p = _; src; src_total } ->
+              | Src { p = _; src } ->
                   if not (List.mem_assoc src expected) then
                     fail "node %d: %s source %d outside the window" i what src;
-                  if src_total <> List.assoc src expected then
-                    fail "node %d: %s source %d total %d, expected %d" i what
-                      src src_total (List.assoc src expected);
                   Hashtbl.replace per_src src
                     (1 + Option.value ~default:0 (Hashtbl.find_opt per_src src))
               | Pt _ | Desc _ -> fail "node %d: untagged %s cell" i what)
             cells;
           List.iter
             (fun (src, k) ->
-              if
-                k > 0
-                && Option.value ~default:0 (Hashtbl.find_opt per_src src) <> k
-              then fail "node %d: %s misses entries of source %d" i what src)
+              let got = Option.value ~default:0 (Hashtbl.find_opt per_src src) in
+              if got <> k then
+                fail "node %d: %s holds %d entries of source %d, expected %d" i
+                  what got src k)
             expected;
           check_sorted what cmp (List.map cell_point cells)
         in
+        (* a cache holds each source whole: a region is one page *)
         let anc_expected =
-          List.map (fun ((a : desc), _) -> (a.node, min b a.n_pts)) window
+          List.map (fun ((a : desc), _) -> (a.node, a.n_pts)) window
         in
         check_cache "a_list" Point.compare_x_desc
           (Blocked_list.read_all t.pager d.a_list)
@@ -671,7 +610,7 @@ let check_invariants t =
           List.filter_map
             (fun ((a : desc), went_left) ->
               match pick went_left a with
-              | Some s when s >= 0 -> Some (s, min b (get s).n_pts)
+              | Some s when s >= 0 -> Some (s, (get s).n_pts)
               | _ -> None)
             window
         in
@@ -742,7 +681,7 @@ let of_snapshot ?cache_capacity ?obs ?backend r ~idx ~snapshot =
   in
   let pager =
     Pager.attach_recovered r ~idx ?cache_capacity ?obs ?backend
-      ~obs_name:"pst3" ~page_capacity:b ()
+      ~obs_name:"ext_pst3" ~page_capacity:b ()
   in
   { mode; pager; layout; block_pages; seg_len; size; store = None }
 
@@ -795,17 +734,16 @@ let dec_point b pos =
 let codec : cell Codec.t =
   {
     Codec.name = "ext-pst3-cell";
-    kind = 4;
+    kind = 5;
     enc =
       (fun buf -> function
         | Pt p ->
             Codec.put_u8 buf 0;
             enc_point buf p
-        | Src { p; src; src_total } ->
+        | Src { p; src } ->
             Codec.put_u8 buf 1;
             enc_point buf p;
-            Codec.put_int buf src;
-            Codec.put_int buf src_total
+            Codec.put_int buf src
         | Desc d ->
             Codec.put_u8 buf 2;
             List.iter (Codec.put_int buf)
@@ -814,10 +752,7 @@ let codec : cell Codec.t =
                 d.right; d.left_min_y; d.right_min_y; d.n_pts;
               ];
             List.iter (enc_list buf)
-              [
-                d.y_list; d.x_list; d.x_asc_list; d.a_list; d.a_asc_list;
-                d.sr_list; d.sl_list;
-              ]);
+              [ d.y_list; d.a_list; d.a_asc_list; d.sr_list; d.sl_list ]);
     dec =
       (fun b pos ->
         match Codec.get_u8 ~page:(-1) b pos with
@@ -826,16 +761,13 @@ let codec : cell Codec.t =
             (Pt p, pos)
         | 1 ->
             let p, pos = dec_point b (pos + 1) in
-            let g = Codec.get_int ~page:(-1) b in
-            (Src { p; src = g pos; src_total = g (pos + 8) }, pos + 16)
+            (Src { p; src = Codec.get_int ~page:(-1) b pos }, pos + 8)
         | 2 ->
             let g = Codec.get_int ~page:(-1) b in
             let pos = pos + 1 in
             let s i = g (pos + (8 * i)) in
             let pos = pos + (11 * 8) in
             let y_list, pos = dec_list b pos in
-            let x_list, pos = dec_list b pos in
-            let x_asc_list, pos = dec_list b pos in
             let a_list, pos = dec_list b pos in
             let a_asc_list, pos = dec_list b pos in
             let sr_list, pos = dec_list b pos in
@@ -854,8 +786,6 @@ let codec : cell Codec.t =
                   right_min_y = s 9;
                   n_pts = s 10;
                   y_list;
-                  x_list;
-                  x_asc_list;
                   a_list;
                   a_asc_list;
                   sr_list;
@@ -871,14 +801,14 @@ let codec : cell Codec.t =
                  }));
   }
 
-(* Worst cell: a descriptor whose seven lists each span the segment
+(* Worst cell: a descriptor whose five lists each span the segment
    window (a-lists hold up to [seg_len] pages; the others at most one
    page plus slack). A page packs up to [b] descriptors (skeletal
    blocks), so size for all-descriptor pages. *)
 let page_bytes ~b =
   let lg = max 1 (Num_util.ilog2 (max 2 b)) in
   let max_list_bytes = 16 + (8 * (lg + 2)) in
-  let max_cell_bytes = 1 + (11 * 8) + (7 * max_list_bytes) in
+  let max_cell_bytes = 1 + (11 * 8) + (5 * max_list_bytes) in
   Codec.page_size ~max_cell_bytes ~capacity:b
 
 let close t =

@@ -77,12 +77,12 @@ val query_count : t -> xl:int -> xr:int -> yb:int -> int
 
 (** [check_invariants t] walks every page and validates the persisted
     decomposition: heap-on-y and split-on-x nesting, full internal
-    regions, the three sort orders over identical point sets (sharing
-    one page per region), denormalized [min_y]/[min_x]/[max_x] and child
-    summaries, and all four caches against the segment window (tagged,
-    first-page-sized, sorted). Raises [Failure] with a description on
-    the first violation. Reads every page — run outside counted sections
-    and with fault plans disarmed. *)
+    regions of at most [B] points (one page each, in decreasing y),
+    denormalized [min_y]/[min_x]/[max_x] and child summaries, and all
+    four caches against the segment window (tagged, holding each source
+    whole, sorted). Raises [Failure] with a description on the first
+    violation. Reads every page — run outside counted sections and with
+    fault plans disarmed. *)
 val check_invariants : t -> unit
 
 val storage_pages : t -> int
@@ -132,8 +132,10 @@ val of_snapshot :
     directory's bytes alone. I/O counts are byte-identical to the
     simulator backend. *)
 
-(** The binary cell codec (header kind 4). Embedded blocked lists are
-    stored flat as element count + page ids. *)
+(** The binary cell codec (header kind 5). Embedded blocked lists are
+    stored flat as element count + page ids; a descriptor holds five.
+    Kind 4 was the earlier layout with seven lists per descriptor, and
+    its pages are refused as [Corrupt_page]. *)
 val codec : cell Pc_blockdev.Page_codec.t
 
 (** [page_bytes ~b] is the on-disk page size for capacity [b] (512-byte

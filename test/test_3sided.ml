@@ -168,26 +168,26 @@ let page_image_cases =
       Ext_pst3.Cached,
       4,
       points ~seed:41 ~n:600 ~universe:24 ~id:(fun i -> i mod 150),
-      ( "309fa4fef1ffdc5e6d836491367680af",
-        "80a0c15b4c07e20cb3e06abd85f50bad" ) );
+      ( "9c25738c5eaa6f08291cb386549b8d26",
+        "be44d34b64e234cdfcffd1854c667254" ) );
     ( "cached b=8",
       Ext_pst3.Cached,
       8,
       points ~seed:43 ~n:3000 ~universe:(1 lsl 20) ~id:Fun.id,
-      ( "296a70e0a5e8d51759777d90cf62bd5a",
-        "296a70e0a5e8d51759777d90cf62bd5a" ) );
+      ( "db7f9520fd6d03fbb6318c3957352d1a",
+        "db7f9520fd6d03fbb6318c3957352d1a" ) );
     ( "cached b=64",
       Ext_pst3.Cached,
       64,
       points ~seed:47 ~n:3000 ~universe:1000 ~id:Fun.id,
-      ( "0c85049eff1fe49233526c5e51da702a",
-        "0c85049eff1fe49233526c5e51da702a" ) );
+      ( "5a0381f2ec10ee5338e8e803dc44df91",
+        "5a0381f2ec10ee5338e8e803dc44df91" ) );
     ( "baseline b=16",
       Ext_pst3.Baseline,
       16,
       points ~seed:53 ~n:2000 ~universe:300 ~id:Fun.id,
-      ( "8c93a1583d017e5dc27a7b7ccc6fb634",
-        "8c93a1583d017e5dc27a7b7ccc6fb634" ) );
+      ( "d9cfa0e12b9a816994a0156a46413fc3",
+        "d9cfa0e12b9a816994a0156a46413fc3" ) );
   ]
 
 let test_page_images () =
@@ -202,15 +202,36 @@ let test_page_images () =
         (page_digest ~mode ~b (List.sort Point.compare_xy pts)))
     page_image_cases
 
+(* A page written under the previous cell layout's header kind (4, seven
+   lists per descriptor) is refused, not decoded into a wrong
+   descriptor. *)
+let test_old_layout_refused () =
+  let module Codec = Pc_blockdev.Page_codec in
+  let page_bytes = Ext_pst3.page_bytes ~b:8 in
+  let dev = Pc_blockdev.Block_device.mem ~page_bytes () in
+  let old = { Ext_pst3.codec with Codec.kind = 4 } in
+  let rng = Rng.create 71 in
+  ignore
+    (Ext_pst3.create ~backend:{ Pager.dev; codec = old } ~mode:Ext_pst3.Cached
+       ~b:8
+       (Workload.points rng Workload.Uniform ~n:200 ~universe:1000));
+  check_bool "pages written" true (dev.size_pages () > 0);
+  for page = 0 to dev.size_pages () - 1 do
+    match Codec.decode Ext_pst3.codec ~page (dev.read_page page) with
+    | _ -> Alcotest.failf "page %d in the kind-4 layout decoded" page
+    | exception Codec.Corrupt_page _ -> ()
+  done
+
 (* Query outputs. Each case builds one structure and runs a seeded
    stream of slab queries aimed at t ≈ 1, 25 and 800 (plus an inverted
    range and a yb above every point). Per query it digests the answer
    list in order, the query's [Query_stats] and the page ids of the
    [Read] events the query caused, so a change to the query path that
    keeps answers as sets but reorders them, reads another page, or
-   bills a read to another counter fails here. The colliding input
-   repeats x values and reuses ids, which pins the deduplication's
-   first-occurrence rule. *)
+   bills a read to another counter fails here. A second digest takes
+   each query's page ids sorted: it pins which pages a query reads but
+   not in what order. The colliding input repeats x values and reuses
+   ids, which pins the deduplication's first-occurrence rule. *)
 let query_digest ~mode ~b ~xu ~yu pts =
   let reads = ref [] in
   let obs =
@@ -232,22 +253,29 @@ let query_digest ~mode ~b ~xu ~yu pts =
   let queries =
     ((10, 5, 0) :: (0, xu, yu) :: slabs 1) @ slabs 25 @ slabs 800
   in
-  let buf = Buffer.create 65_536 in
+  let in_order = Buffer.create 65_536 and sorted = Buffer.create 65_536 in
   List.iter
     (fun (xl, xr, yb) ->
       reads := [];
       let got, st = Ext_pst3.query t ~xl ~xr ~yb in
-      Printf.bprintf buf "q %d %d %d:" xl xr yb;
+      let line = Buffer.create 4096 in
+      Printf.bprintf line "q %d %d %d:" xl xr yb;
       List.iter
-        (fun (p : Point.t) -> Printf.bprintf buf " %d,%d,%d" p.x p.y p.id)
+        (fun (p : Point.t) -> Printf.bprintf line " %d,%d,%d" p.x p.y p.id)
         got;
       List.iter
-        (fun (k, v) -> Printf.bprintf buf " %s=%d" k v)
+        (fun (k, v) -> Printf.bprintf line " %s=%d" k v)
         (Query_stats.to_args st);
-      List.iter (Printf.bprintf buf " r%d") (List.rev !reads);
-      Buffer.add_char buf '\n')
+      let add buf pages =
+        Buffer.add_buffer buf line;
+        List.iter (Printf.bprintf buf " r%d") pages;
+        Buffer.add_char buf '\n'
+      in
+      add in_order (List.rev !reads);
+      add sorted (List.sort Int.compare !reads))
     queries;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let hex buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  (hex in_order, hex sorted)
 
 let query_digest_cases =
   let points ~seed ~xu ~yu ~id =
@@ -261,42 +289,66 @@ let query_digest_cases =
   and colliding =
     (96, 1000, points ~seed:67 ~xu:96 ~yu:1000 ~id:(fun i -> i mod 1500))
   in
+  (* (name, mode, b, input, (digest, digest with each query's reads
+     sorted)) *)
   Ext_pst3.
     [
-      ("cached b=4", Cached, 4, uniform, "12f2d00230ff27e724ecb13f010706e4");
-      ("cached b=8", Cached, 8, uniform, "52df0e2d6996961689c2cd610d3ba734");
-      ("cached b=64", Cached, 64, uniform, "fa7896a4ea5c284aa7e63720c69bf14b");
+      ( "cached b=4",
+        Cached,
+        4,
+        uniform,
+        ( "a1ae2f967beff5b5eb76b191bc5f1c5b",
+          "b189ed29e18777609589e106f03ed0ab" ) );
+      ( "cached b=8",
+        Cached,
+        8,
+        uniform,
+        ( "c4de32e9458ad1380fa561dd5b741439",
+          "5d1323673f4a12ee28e6a31fb5d1085e" ) );
+      ( "cached b=64",
+        Cached,
+        64,
+        uniform,
+        ( "fa7896a4ea5c284aa7e63720c69bf14b",
+          "52143bb84cf52c7ea960db33d16367b6" ) );
       ( "cached b=4, colliding",
         Cached,
         4,
         colliding,
-        "b2ddea45897835e4ecb40af67e8afa43" );
+        ( "9fa2c301f6e4fec6bb74a45eda914367",
+          "002f3e999893fcfc094d7404a0c5b081" ) );
       ( "baseline b=4",
         Baseline,
         4,
         uniform,
-        "8854af409c1838fe85bde3a12fc44baa" );
+        ( "8854af409c1838fe85bde3a12fc44baa",
+          "d94c4dab7f818546b27ccd91214480d8" ) );
       ( "baseline b=8",
         Baseline,
         8,
         uniform,
-        "447a396a8c43d1de93542a069bb5e579" );
+        ( "447a396a8c43d1de93542a069bb5e579",
+          "84fc2cd91131cee00a1a040c11b95d90" ) );
       ( "baseline b=64",
         Baseline,
         64,
         uniform,
-        "8de4c6c0b79a47a8ccb8eb1b4e14e417" );
+        ( "8de4c6c0b79a47a8ccb8eb1b4e14e417",
+          "abbe050e5fb6a036e52c1f3208b29cd5" ) );
       ( "baseline b=4, colliding",
         Baseline,
         4,
         colliding,
-        "cdfa5ace9c808278b583e44b5a7024fc" );
+        ( "cdfa5ace9c808278b583e44b5a7024fc",
+          "806351165722ca9a7d616961a99e500d" ) );
     ]
 
 let test_query_digests () =
   List.iter
-    (fun (name, mode, b, (xu, yu, pts), digest) ->
-      Alcotest.(check string) name digest (query_digest ~mode ~b ~xu ~yu pts))
+    (fun (name, mode, b, (xu, yu, pts), (in_order, sorted)) ->
+      let got_in_order, got_sorted = query_digest ~mode ~b ~xu ~yu pts in
+      Alcotest.(check string) name in_order got_in_order;
+      Alcotest.(check string) (name ^ ", reads sorted") sorted got_sorted)
     query_digest_cases
 
 let suite =
@@ -308,6 +360,7 @@ let suite =
     ("cached I/O improvement", `Quick, test_cached_io_improvement);
     ("query I/O bound", `Quick, test_query_io_bound);
     ("page images match the recorded digests", `Quick, test_page_images);
+    ("a page in the old cell layout is refused", `Quick, test_old_layout_refused);
     ("query outputs match the recorded digests", `Quick, test_query_digests);
     QCheck_alcotest.to_alcotest prop_3sided_random;
   ]

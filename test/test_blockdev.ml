@@ -295,6 +295,25 @@ let test_pst3_file_matches_sim () =
   Ext_pst3.check_invariants back;
   Ext_pst3.close back
 
+(* a recovered structure registers its pager under the name a fresh
+   build uses, so its events and metrics carry one source label *)
+let test_pst3_recovered_source_name () =
+  let dir = fresh_dir "pst3-name" in
+  let rng = Rng.create 13 in
+  let pts = Workload.points rng Workload.Uniform ~n:300 ~universe:10_000 in
+  Ext_pst3.close (Ext_pst3.create_file ~dir ~mode:Ext_pst3.Cached ~b:8 pts);
+  let obs = Obs.create () in
+  let t = Ext_pst3.recover_file ~obs ~dir ~b:8 () in
+  let rec names sid =
+    match Obs.source_name obs sid with
+    | Some name -> name :: names (sid + 1)
+    | None -> []
+  in
+  let names = names 0 in
+  check_bool "ext_pst3 is a source" true (List.mem "ext_pst3" names);
+  check_bool "pst3 is not" false (List.mem "pst3" names);
+  Ext_pst3.close t
+
 (* a flipped byte in the page file surfaces as typed damage at recovery,
    never as wrong answers *)
 let test_recover_flipped_page () =
@@ -522,6 +541,9 @@ let suite =
     ("journal file framing", `Quick, test_wal_file_roundtrip);
     ("btree 100k close/reopen vs oracle", `Slow, test_btree_100k_roundtrip);
     ("pst3 file = sim, and survives reopen", `Quick, test_pst3_file_matches_sim);
+    ( "recovered pst3 traces as ext_pst3",
+      `Quick,
+      test_pst3_recovered_source_name );
     ( "in-txn eviction serves the mirror",
       `Quick,
       test_in_txn_eviction_reads_mirror );

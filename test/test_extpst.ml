@@ -242,24 +242,6 @@ let test_region_tree_invariants () =
       check_int "points preserved" n (List.length (Region_tree.all_points rt)))
     [ (1, 50); (4, 1000); (64, 1000); (64, 5000) ]
 
-let test_region_tree_corner_path () =
-  let rng = Rng.create 43 in
-  let pts = Workload.points rng Workload.Uniform ~n:2000 ~universe:1000 in
-  let rt = Region_tree.build ~capacity:8 pts in
-  for _ = 0 to 50 do
-    let xl = Rng.int rng 1000 and yb = Rng.int rng 1000 in
-    let path = Region_tree.path_to_corner rt ~xl ~yb in
-    check_bool "path nonempty" true (path <> []);
-    (* all strict-ancestor path nodes keep min_y >= yb *)
-    let rec check_prefix = function
-      | [] | [ _ ] -> ()
-      | n :: rest ->
-          check_bool "ancestor min_y >= yb" true (n.Region_tree.min_y >= yb);
-          check_prefix rest
-    in
-    check_prefix path
-  done
-
 (* The specification of [Region_tree.build]: each region stably sorts its
    points by decreasing y, keeps the first [capacity], stably sorts those
    by decreasing x, sorts the rest by (x, y, id) and splits it at the
@@ -370,7 +352,6 @@ let suite =
     ("wasteful I/O bounded", `Quick, test_wasteful_io_bounded);
     ("capacity schedules", `Quick, test_capacity_schedules);
     ("region tree invariants", `Quick, test_region_tree_invariants);
-    ("region tree corner path", `Quick, test_region_tree_corner_path);
     QCheck_alcotest.to_alcotest prop_region_tree_matches_reference;
     QCheck_alcotest.to_alcotest prop_extpst_random;
   ]

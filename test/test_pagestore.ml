@@ -114,8 +114,6 @@ let test_blocked_list_roundtrip () =
   check_int "blocks" 3 (Blocked_list.num_blocks l);
   Alcotest.(check (list int)) "read_all" [ 1; 2; 3; 4; 5; 6; 7 ]
     (Blocked_list.read_all p l);
-  Alcotest.(check (array int)) "block 1" [| 4; 5; 6 |] (Blocked_list.read_block p l 1);
-  Alcotest.(check (array int)) "first" [| 1; 2; 3 |] (Blocked_list.first_block p l);
   check_bool "not empty" false (Blocked_list.is_empty l)
 
 let test_blocked_list_empty () =
@@ -123,7 +121,6 @@ let test_blocked_list_empty () =
   let l = Blocked_list.store p [] in
   check_bool "empty" true (Blocked_list.is_empty l);
   check_int "no blocks" 0 (Blocked_list.num_blocks l);
-  Alcotest.(check (array int)) "first of empty" [||] (Blocked_list.first_block p l);
   let kept, reads = Blocked_list.scan_prefix p l ~keep:(fun _ -> true) in
   check_int "no reads" 0 reads;
   check_int "no kept" 0 (List.length kept)
